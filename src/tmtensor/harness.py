@@ -16,13 +16,9 @@ from dataclasses import dataclass
 from random import Random
 
 from .encoding import encode_config, encode_machine, restrict_k_nonzero
-from .machine import Configuration, Machine, RunStatus, initial_configuration, oracle_run
+from .machine import Machine, RunStatus, Trace, initial_configuration, oracle_run
 from .products import DEFAULT_CAP, evolve, type1, type2
-from .tensor import Coord, Dims, SparseTensor
-
-
-def format_coord(coord: Coord) -> str:
-    return " | ".join(" ".join(str(c) for c in quad) for quad in coord)
+from .tensor import Coord, Dims, SparseTensor, format_coord
 
 
 def _random_tensor(
@@ -55,6 +51,17 @@ def _first_difference(t1: SparseTensor, t2: SparseTensor) -> Coord | None:
         if t1.entries.get(coord, 0) != t2.entries.get(coord, 0):
             return coord
     return None
+
+
+def _agrees(trace: Trace, a: SparseTensor, dims: Dims, t: int) -> bool:
+    """Whether ``a`` restricts to the simulator's configuration at trajectory index
+    t: held once halted, empty once off the window (the budget must reach t)."""
+    restricted = restrict_k_nonzero(a)
+    if t <= len(trace.configs):
+        return restricted == encode_config(trace.configs[t - 1], dims)
+    if trace.status is RunStatus.HALTED:
+        return restricted == encode_config(trace.configs[-1], dims)
+    return restricted.is_zero
 
 
 @dataclass
@@ -108,24 +115,54 @@ def verify_evolution(
     b = b_override if b_override is not None else encode_machine(machine, dims).tensor
     evolution = evolve(encode_config(initial, dims), b, steps)
 
-    reached = len(trace.configs)
-    agreements: list[StepAgreement] = []
-    for t in range(1, steps + 2):
-        if t <= reached:
-            expected: Configuration = trace.configs[t - 1]
-        elif trace.status is RunStatus.HALTED:
-            expected = trace.configs[-1]
-        else:
-            break
-        agree = restrict_k_nonzero(evolution.tensors[t - 1]) == encode_config(expected, dims)
-        agreements.append(StepAgreement(t, agree))
-
+    # Past an overflow the overflow step is compared instead of the tensors.
     if trace.status is RunStatus.OVERFLOW:
-        overflow_agree = evolution.overflow_step == reached
+        last = len(trace.configs)
+        overflow_agree = evolution.overflow_step == last
     else:
+        last = steps + 1
         overflow_agree = evolution.overflow_step is None
+    agreements = [
+        StepAgreement(t, _agrees(trace, evolution.tensors[t - 1], dims, t))
+        for t in range(1, last + 1)
+    ]
     passed = overflow_agree and all(step.agree for step in agreements)
     return EvolutionReport(agreements, trace.status, evolution.overflow_step, overflow_agree, passed)
+
+
+@dataclass
+class PowerReport:
+    """Agreement after each application of a composition power; ``t`` is the
+    trajectory index an application reaches."""
+
+    steps: list[StepAgreement]
+    passed: bool
+
+    def lines(self) -> list[str]:
+        return [
+            f"CHECK compose-action step={s.t - 1} -> {'PASS' if s.agree else 'FAIL'}"
+            for s in self.steps
+        ]
+
+
+def verify_power(
+    machine: Machine,
+    tape: list[str] | tuple[str, ...],
+    dims: Dims,
+    power_tensor: SparseTensor,
+    power: int,
+    steps: int,
+) -> PowerReport:
+    """Check that each application of ``power_tensor`` advances the simulator
+    ``power`` steps, absorbing once halted and empty once off the window."""
+    initial = initial_configuration(machine, tape, dims.cells)
+    trace = oracle_run(machine, initial, power * steps)
+    evolution = evolve(encode_config(initial, dims), power_tensor, steps)
+    agreements = []
+    for application in range(1, steps + 1):
+        t = 1 + application * power
+        agreements.append(StepAgreement(t, _agrees(trace, evolution.tensors[application], dims, t)))
+    return PowerReport(agreements, all(step.agree for step in agreements))
 
 
 @dataclass
@@ -164,52 +201,21 @@ def mixed_assoc_trial(
     return TrialResult("mixed-assoc", seed, False, _first_difference(lhs, rhs))
 
 
-_PERM_SEARCH_MAX_GROUPS = 6
-
-
-def find_upper_permutation(left: SparseTensor, right: SparseTensor) -> tuple[int, ...] | None:
-    """Permutation of left's upper groups that maps it onto right, if any."""
-    if left.dims != right.dims or left.upper_count != right.upper_count:
-        return None
-    for perm in itertools.permutations(range(left.upper_count)):
-        if left.permute_upper(perm) == right:
-            return perm
-    return None
-
-
 @dataclass
 class Type2AssocReport:
-    """Associativity of the composition product under re-association.
-
-    ``action_passed`` compares what both composites do to random configuration
-    tensors (guaranteed by the mixed law); ``entrywise_passed`` compares the
-    composites directly under this package's upper-group ordering.  On an
-    entrywise mismatch a permutation of the upper groups mapping one composite
-    onto the other is searched for.
-    """
+    """Re-association of the composition product, checked by what both composites
+    do to random configuration tensors and entry by entry, as derived in
+    :func:`~tmtensor.products.type2`."""
 
     seed: int
     action_passed: bool
     entrywise_passed: bool
-    permutation_witness: tuple[int, ...] | None = None
-    permutation_searched: bool = False
-    action_samples: int = 0
 
     def lines(self) -> list[str]:
-        out = [
-            f"CHECK type2-assoc-action seed={self.seed} -> "
-            f"{'PASS' if self.action_passed else 'FAIL'}",
-            f"CHECK type2-assoc-entrywise seed={self.seed} -> "
-            f"{'PASS' if self.entrywise_passed else 'FAIL'}",
+        return [
+            f"CHECK type2-assoc-{kind} seed={self.seed} -> {'PASS' if ok else 'FAIL'}"
+            for kind, ok in (("action", self.action_passed), ("entrywise", self.entrywise_passed))
         ]
-        if not self.entrywise_passed:
-            if self.permutation_witness is not None:
-                out.append(f"note: upper-group permutation witness {self.permutation_witness}")
-            elif self.permutation_searched:
-                out.append("note: no upper-group permutation matches")
-            else:
-                out.append("note: permutation search skipped (too many groups)")
-        return out
 
 
 def type2_assoc_trial(
@@ -236,16 +242,7 @@ def type2_assoc_trial(
         if type1(a, left) != type1(a, right):
             action_passed = False
             break
-
-    entrywise_passed = left == right
-    witness: tuple[int, ...] | None = None
-    searched = False
-    if not entrywise_passed and left.upper_count <= _PERM_SEARCH_MAX_GROUPS:
-        searched = True
-        witness = find_upper_permutation(left, right)
-    return Type2AssocReport(
-        seed, action_passed, entrywise_passed, witness, searched, action_samples
-    )
+    return Type2AssocReport(seed, action_passed, left == right)
 
 
 @dataclass

@@ -58,39 +58,18 @@ class Machine:
     def symbol_name(self, j: int) -> str:
         return self.symbols[j]
 
-    def state_number(self, name: str) -> int | None:
-        try:
-            return self.states.index(name) + 1
-        except ValueError:
-            return None
-
-    def symbol_number(self, name: str) -> int | None:
-        try:
-            return self.symbols.index(name)
-        except ValueError:
-            return None
-
     def dims(self, cells: int) -> Dims:
         """Index bounds for tensors over a window of ``cells`` cells."""
         return Dims(cells=cells, symbols=self.m + 1, states=self.n + 1)
 
 
-@dataclass(frozen=True)
-class ExtendedDelta:
+def extend_delta(machine: Machine) -> dict[tuple[int, int], Rule]:
     """Transition map made total on symbol x state-including-slot-0.
 
     Slot 0 maps to itself without writing or moving; halt states do the same
     (absorbing), so the map stays consistent past the halt step.  Moves are
     -1, 0, or +1.
     """
-
-    rules: dict[tuple[int, int], Rule]
-
-    def __getitem__(self, jk: tuple[int, int]) -> Rule:
-        return self.rules[jk]
-
-
-def extend_delta(machine: Machine) -> ExtendedDelta:
     rules: dict[tuple[int, int], Rule] = {}
     for j in range(machine.m + 1):
         rules[(j, 0)] = (j, 0, 0)
@@ -99,7 +78,7 @@ def extend_delta(machine: Machine) -> ExtendedDelta:
                 rules[(j, k)] = (j, k, 0)
             else:
                 rules[(j, k)] = machine.delta[(j, k)]
-    return ExtendedDelta(rules)
+    return rules
 
 
 @dataclass(frozen=True)
@@ -109,18 +88,6 @@ class Configuration:
     tape: tuple[int, ...]
     head: int
     state: int
-
-
-@dataclass(frozen=True)
-class Halted:
-    """Step outcome: the configuration's state is a halt state."""
-
-
-@dataclass(frozen=True)
-class BoundaryOverflow:
-    """Step outcome: the move would put the head outside the window."""
-
-    target: int
 
 
 class RunStatus(str, Enum):
@@ -135,16 +102,15 @@ class Trace:
     status: RunStatus
 
 
-def oracle_step(
-    machine: Machine, config: Configuration
-) -> Configuration | Halted | BoundaryOverflow:
-    """One direct simulation step; never mutates the input."""
+def oracle_step(machine: Machine, config: Configuration) -> Configuration | RunStatus:
+    """One direct simulation step; never mutates the input.  A halt state gives
+    RunStatus.HALTED and a move off the window RunStatus.OVERFLOW."""
     if config.state in machine.halt_states:
-        return Halted()
+        return RunStatus.HALTED
     symbol, next_state, move = machine.delta[(config.tape[config.head - 1], config.state)]
     target = config.head + move
     if not 1 <= target <= len(config.tape):
-        return BoundaryOverflow(target)
+        return RunStatus.OVERFLOW
     tape = list(config.tape)
     tape[config.head - 1] = symbol
     return Configuration(tuple(tape), target, next_state)
@@ -153,19 +119,16 @@ def oracle_step(
 def oracle_run(machine: Machine, initial: Configuration, max_steps: int) -> Trace:
     """Simulate until halt, window overflow, or the step budget runs out."""
     configs = [initial]
-    if initial.state in machine.halt_states:
-        return Trace(configs, RunStatus.HALTED)
     status = RunStatus.STEP_LIMIT
     for _ in range(max_steps):
         outcome = oracle_step(machine, configs[-1])
-        if isinstance(outcome, BoundaryOverflow):
-            status = RunStatus.OVERFLOW
+        if isinstance(outcome, RunStatus):
+            status = outcome
             break
-        assert isinstance(outcome, Configuration)
         configs.append(outcome)
-        if outcome.state in machine.halt_states:
-            status = RunStatus.HALTED
-            break
+    # A run that halts on the last step of its budget is halted, not cut short.
+    if configs[-1].state in machine.halt_states:
+        status = RunStatus.HALTED
     return Trace(configs, status)
 
 
@@ -315,9 +278,9 @@ def machine_to_text(machine: Machine) -> str:
 def _check_tape_tokens(machine: Machine, tokens: Sequence[str]) -> list[int]:
     indices = []
     for token in tokens:
-        j = machine.symbol_number(token)
-        if j is None:
+        if token not in machine.symbols:
             raise UnknownToken(f"unknown tape symbol {token!r}")
+        j = machine.symbols.index(token)
         if j not in machine.input_symbols:
             raise UnknownToken(f"tape symbol {token!r} is not in the input alphabet")
         indices.append(j)

@@ -44,36 +44,10 @@ def _upper_weight(a: SparseTensor, coord: Coord) -> int:
     return weight
 
 
-def local_factor(a: SparseTensor, b: SparseTensor) -> PairMap:
-    """Contraction keeping the lower (cell, symbol) pair, summing (state, head)."""
-    _check_type1_operands(a, b)
-    out: PairMap = {}
-    for coord, bv in b.entries.items():
-        weight = _upper_weight(a, coord)
-        if weight:
-            i2, j2, _, _ = coord[-1]
-            out[(i2, j2)] = out.get((i2, j2), 0) + weight * bv
-    return {pair: value for pair, value in out.items() if value}
-
-
-def global_factor(a: SparseTensor, b: SparseTensor) -> PairMap:
-    """Contraction keeping the lower (state, head) pair, summing (cell, symbol)."""
-    _check_type1_operands(a, b)
-    out: PairMap = {}
-    for coord, bv in b.entries.items():
-        weight = _upper_weight(a, coord)
-        if weight:
-            _, _, k2, l2 = coord[-1]
-            out[(k2, l2)] = out.get((k2, l2), 0) + weight * bv
-    return {pair: value for pair, value in out.items() if value}
-
-
-def type1(a: SparseTensor, b: SparseTensor) -> SparseTensor:
-    """Evolution product: the outer product of the local and global factors.
-
-    One pass over the transition tensor accumulates both factors; the result
-    entry at (i, j, k, l) is local(i, j) * global(k, l).
-    """
+def factors(a: SparseTensor, b: SparseTensor) -> tuple[PairMap, PairMap]:
+    """One pass over b: the local factor keeps the lower (cell, symbol) pair and
+    the global factor the lower (state, head) pair, each summing over the other
+    pair.  Zero sums are left out."""
     _check_type1_operands(a, b)
     local: PairMap = {}
     glob: PairMap = {}
@@ -85,12 +59,22 @@ def type1(a: SparseTensor, b: SparseTensor) -> SparseTensor:
         term = weight * bv
         local[(i2, j2)] = local.get((i2, j2), 0) + term
         glob[(k2, l2)] = glob.get((k2, l2), 0) + term
+    return (
+        {pair: value for pair, value in local.items() if value},
+        {pair: value for pair, value in glob.items() if value},
+    )
+
+
+def type1(a: SparseTensor, b: SparseTensor) -> SparseTensor:
+    """Evolution product: the outer product of the local and global factors.
+
+    The result entry at (i, j, k, l) is local(i, j) * global(k, l).
+    """
+    local, glob = factors(a, b)
     entries = {
         ((i, j, k, l),): lv * gv
         for (i, j), lv in local.items()
-        if lv
         for (k, l), gv in glob.items()
-        if gv
     }
     return SparseTensor(a.dims, 0, entries)
 
@@ -106,6 +90,17 @@ def type2(b: SparseTensor, c: SparseTensor, cap: int = DEFAULT_CAP) -> SparseTen
 
     Raises ResourceLimit once the accumulated expansion exceeds ``cap`` terms
     (an upper bound on the stored entries the expansion can produce).
+
+    Re-association is exact entry by entry.  With L, G for the marginals and
+    W_b(U V; y) = prod_s L_b(U_s; ij(y_s)) G_b(V_s; kl(y_s)), an entry of b∘c
+    is sum_y c(y; z) W_b(U V; y), so its marginals are the same sums over c's
+    marginals: they factor through the inner composite.  Both (b∘c)∘f and
+    b∘(c∘f), whose sum over c∘f's upper groups splits per block, expand to
+        sum_x f(x; z) prod_t [sum_y L_c(y; ij(x_t)) W_b(A_t; y)]
+                             [sum_y G_c(y; kl(x_t)) W_b(B_t; y)]
+    at the coordinate (A_1 B_1 .. A_r B_r; z): slot-major over f, then the
+    local block A_t before the global block B_t, then c's inner slot, then
+    the upper group, U before V.
     """
     if b.dims != c.dims:
         raise DimsMismatch(f"operands disagree on dims: {b.dims} vs {c.dims}")
@@ -123,13 +118,11 @@ def type2(b: SparseTensor, c: SparseTensor, cap: int = DEFAULT_CAP) -> SparseTen
         global_margin[key] = global_margin.get(key, 0) + value
 
     local_index: dict[tuple[int, int], list[tuple[Coord, int]]] = {}
-    for (upper, pair), value in local_margin.items():
-        if value:
-            local_index.setdefault(pair, []).append((upper, value))
     global_index: dict[tuple[int, int], list[tuple[Coord, int]]] = {}
-    for (upper, pair), value in global_margin.items():
-        if value:
-            global_index.setdefault(pair, []).append((upper, value))
+    for margin, index in ((local_margin, local_index), (global_margin, global_index)):
+        for (upper, pair), value in margin.items():
+            if value:
+                index.setdefault(pair, []).append((upper, value))
 
     # Predict the full expansion before accumulating anything, so an
     # over-budget composition aborts without doing the work.
@@ -166,7 +159,8 @@ def type2(b: SparseTensor, c: SparseTensor, cap: int = DEFAULT_CAP) -> SparseTen
             parts.append(lower)
             key = tuple(parts)
             acc[key] = acc.get(key, 0) + value
-    return SparseTensor._from_dict(b.dims, 2 * b.upper_count * c.upper_count, acc)
+    upper_count = 2 * b.upper_count * c.upper_count
+    return SparseTensor(b.dims, upper_count, {key: value for key, value in acc.items() if value})
 
 
 def type2_power(b: SparseTensor, e: int, cap: int = DEFAULT_CAP) -> SparseTensor:

@@ -77,6 +77,11 @@ def _check_coord(dims: Dims, upper_count: int, coord: Sequence[Sequence[int]]) -
     return tuple(quads)
 
 
+def format_coord(coord: Coord) -> str:
+    """Quads as the dump writes them: components space-separated, groups joined by " | "."""
+    return " | ".join(" ".join(str(c) for c in quad) for quad in coord)
+
+
 @dataclass(frozen=True)
 class SparseTensor:
     """Immutable mapping from coordinates (tuples of quads) to nonzero integers.
@@ -108,11 +113,6 @@ class SparseTensor:
     def zero(cls, dims: Dims, upper_count: int) -> SparseTensor:
         return cls(dims, upper_count, {})
 
-    @classmethod
-    def _from_dict(cls, dims: Dims, upper_count: int, mapping: dict[Coord, int]) -> SparseTensor:
-        """Internal constructor for coordinates already known to be valid."""
-        return cls(dims, upper_count, {c: v for c, v in mapping.items() if v})
-
     def get(self, coord: Sequence[Sequence[int]]) -> int:
         return self.entries.get(_check_coord(self.dims, self.upper_count, coord), 0)
 
@@ -128,28 +128,19 @@ class SparseTensor:
     def order(self) -> int:
         return 4 * (self.upper_count + 1)
 
-    def permute_upper(self, perm: Sequence[int]) -> SparseTensor:
-        """Reorder upper groups: result group g is the original group perm[g]."""
-        if sorted(perm) != list(range(self.upper_count)):
-            raise ArityMismatch(f"{perm!r} is not a permutation of the upper groups")
-        moved = {
-            tuple(coord[g] for g in perm) + (coord[-1],): value
-            for coord, value in self.entries.items()
-        }
-        return SparseTensor(self.dims, self.upper_count, moved)
-
     def to_text(self) -> str:
         """Line-oriented dump: header, then one sorted `quads : scalar` line per entry."""
         d = self.dims
         lines = [f"dims {d.cells} {d.symbols - 1} {d.states - 1}  upper {self.upper_count}"]
         for coord in sorted(self.entries):
-            groups = " | ".join(" ".join(str(c) for c in quad) for quad in coord)
-            lines.append(f"{groups} : {self.entries[coord]}")
+            lines.append(f"{format_coord(coord)} : {self.entries[coord]}")
         return "\n".join(lines) + "\n"
 
     @classmethod
     def from_text(cls, text: str) -> SparseTensor:
-        lines = [line for line in text.splitlines() if line.strip()]
+        """Parse a dump.  Only the exact text :meth:`to_text` writes is accepted:
+        duplicate, unsorted, zero-valued or blank lines raise ValueError."""
+        lines = text.splitlines()
         if not lines:
             raise ValueError("empty tensor dump")
         header = lines[0].split()
@@ -167,7 +158,10 @@ class SparseTensor:
             )
             return coord, int(scalar)
 
-        return cls.from_entries(dims, upper_count, (parse_line(line) for line in lines[1:]))
+        tensor = cls.from_entries(dims, upper_count, (parse_line(line) for line in lines[1:]))
+        if tensor.to_text() != text:
+            raise ValueError("tensor dump is not canonical (sorted, distinct, nonzero lines only)")
+        return tensor
 
     def __repr__(self) -> str:
         d = self.dims

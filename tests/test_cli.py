@@ -1,5 +1,8 @@
+import itertools
+
 import pytest
 
+from tmtensor import RunStatus, Type2AssocReport, initial_configuration, oracle_run
 from tmtensor.cli import main
 
 from conftest import machine_path, machine_text
@@ -57,17 +60,33 @@ def test_simulate_reads_tape_line_from_file(tmp_path, capsys):
     assert out[0] == "t=1 state=q1 head=1 tape=1 _ _ _"
 
 
+def input_words(machine, cells):
+    """Every tape of at most ``cells`` input symbols, as --tape arguments."""
+    alphabet = [machine.symbol_name(j) for j in sorted(machine.input_symbols)]
+    return [
+        " ".join(word)
+        for length in range(cells + 1)
+        for word in itertools.product(alphabet, repeat=length)
+    ]
+
+
 def test_evolve_matches_simulate_byte_for_byte(capsys, corpus):
-    for name, _, tape in corpus:
+    # Every input word up to the window, so runs halt, overflow and hit the
+    # step limit at every window from 2 to 5.
+    pairs = 0
+    for name, machine, _ in corpus:
         path = str(machine_path(name))
-        tape_arg = " ".join(tape)
-        args = ["--tape", tape_arg, "--cells", "4", "--steps", "12"]
-        code_sim, out_sim, _ = run(capsys, "simulate", path, *args)
-        code_evo, out_evo, _ = run(capsys, "evolve", path, *args)
-        assert code_sim == 0 and code_evo == 0
-        config_lines = [line for line in out_evo if " state=" in line]
-        assert config_lines == [line for line in out_sim if " state=" in line], name
-        assert out_sim[-1] == out_evo[-1]  # same terminal status
+        for cells in range(2, 6):
+            for tape in input_words(machine, cells):
+                args = ["--tape", tape, "--cells", str(cells), "--steps", str(2 * cells + 2)]
+                code_sim, out_sim, _ = run(capsys, "simulate", path, *args)
+                code_evo, out_evo, _ = run(capsys, "evolve", path, *args)
+                assert code_sim == 0 and code_evo == 0
+                config_lines = [line for line in out_evo if " state=" in line]
+                assert config_lines == [line for line in out_sim if " state=" in line], args
+                assert out_sim[-1] == out_evo[-1], args  # same terminal status
+                pairs += 1
+    assert pairs == 152
 
 
 def test_evolve_status_lines(capsys):
@@ -130,7 +149,7 @@ def test_verify_parse_failure_exit(tmp_path, capsys):
     assert code == 2
 
 
-def test_compose_power_two_action(capsys):
+def test_compose_power_two_action(capsys, corpus):
     code, out, _ = run(
         capsys, "compose", M1, "--tape", "1 1", "--cells", "4", "--power", "2", "--steps", "2"
     )
@@ -138,6 +157,25 @@ def test_compose_power_two_action(capsys):
     assert out[0].startswith("power=2 upper=2 nnz=")
     assert out[1] == "CHECK compose-action step=2 -> PASS"
     assert out[2] == "CHECK compose-action step=4 -> PASS"
+    # A full-window tape: m1 and binary_increment run off the window within
+    # four steps, so their later applications must leave no entry with a real
+    # state; the bouncer never leaves cells 1 and 2.
+    overflowed = []
+    for name, machine, _ in corpus:
+        tape = " ".join([machine.symbol_name(max(machine.input_symbols))] * 4)
+        trace = oracle_run(machine, initial_configuration(machine, tape.split(), 4), 4)
+        if trace.status is RunStatus.OVERFLOW and len(trace.configs) <= 4:
+            overflowed.append(name)
+        code, out, _ = run(
+            capsys, "compose", str(machine_path(name)),
+            "--tape", tape, "--cells", "4", "--power", "2", "--steps", "2",
+        )
+        assert code == 0, name
+        assert out[1:] == [
+            "CHECK compose-action step=2 -> PASS",
+            "CHECK compose-action step=4 -> PASS",
+        ], name
+    assert overflowed == ["m1_unary_append", "binary_increment"]
 
 
 def test_compose_power_one_is_the_machine_tensor(capsys, m1):
@@ -163,9 +201,10 @@ def test_assoc_trials_pass(capsys):
 
 
 def test_assoc_zero_trials(capsys):
-    code, out, _ = run(capsys, "assoc", "--trials", "0")
-    assert code == 0
-    assert out == []
+    with pytest.raises(SystemExit) as exc:
+        main(["assoc", "--trials", "0"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_assoc_with_pure_trials(capsys):
@@ -177,6 +216,19 @@ def test_assoc_with_pure_trials(capsys):
     assert any("type2-assoc-entrywise" in line for line in out)
 
 
+def test_assoc_fails_on_entrywise_mismatch(capsys, monkeypatch):
+    def mismatch(dims, p, q, r, density, seed, cap):
+        return Type2AssocReport(seed, action_passed=True, entrywise_passed=False)
+
+    monkeypatch.setattr("tmtensor.cli.type2_assoc_trial", mismatch)
+    code, out, _ = run(capsys, "assoc", "--trials", "1", "--r", "1", "--density", "0.05")
+    assert code == 1
+    assert out[1:] == [
+        "CHECK type2-assoc-action seed=0 -> PASS",
+        "CHECK type2-assoc-entrywise seed=0 -> FAIL",
+    ]
+
+
 def test_assoc_resource_limit(capsys):
     code, _, err = run(
         capsys, "assoc", "--cells", "3", "--states", "2", "--q", "2",
@@ -186,10 +238,21 @@ def test_assoc_resource_limit(capsys):
     assert "error" in err
 
 
-def test_usage_error_exit_code():
-    with pytest.raises(SystemExit) as exc:
-        main(["simulate"])  # missing the machine file
-    assert exc.value.code == 2
+def test_usage_error_exit_code(capsys):
+    # Nonsense counts are usage errors, never a PASS over nothing.
+    for argv in (
+        ["simulate"],  # missing the machine file
+        ["simulate", M1, "--steps", "-3"],
+        ["evolve", M1, "--steps", "-1"],
+        ["verify", M1, "--steps", "-3"],
+        ["compose", M1, "--tape", "1", "--steps", "0"],
+        ["assoc", "--trials", "-1"],
+        ["assoc", "--trials", "two"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert capsys.readouterr().out == "", argv
 
 
 def test_commands_are_deterministic(capsys):

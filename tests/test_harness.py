@@ -7,12 +7,13 @@ from tmtensor import (
     Type2AssocReport,
     audit_nnz,
     encode_machine,
-    find_upper_permutation,
     mixed_assoc_trial,
     random_config_tensor,
     random_transition_tensor,
     type2_assoc_trial,
+    type2_power,
     verify_evolution,
+    verify_power,
 )
 
 SMALL = Dims(2, 2, 2)   # window 2, symbols m=1, states n=1
@@ -58,6 +59,21 @@ def test_verify_reports_are_deterministic(increment):
     first = verify_evolution(increment, ["0", "1", "1"], dims, 12)
     second = verify_evolution(increment, ["0", "1", "1"], dims, 12)
     assert first == second
+
+
+def test_verify_power(m1):
+    dims = m1.dims(4)
+    b = encode_machine(m1, dims).tensor
+    report = verify_power(m1, ["1", "1"], dims, type2_power(b, 2), 2, 2)
+    assert report.passed
+    assert report.lines() == [
+        "CHECK compose-action step=2 -> PASS",
+        "CHECK compose-action step=4 -> PASS",
+    ]
+    # b advances one step per application, not the two claimed
+    wrong = verify_power(m1, ["1", "1"], dims, b, 2, 2)
+    assert not wrong.passed
+    assert wrong.lines()[0] == "CHECK compose-action step=2 -> FAIL"
 
 
 def test_random_config_tensor_density_one_fills_the_space():
@@ -131,34 +147,17 @@ def test_type2_assoc_trial_zero_tensors():
     assert report.action_passed and report.entrywise_passed
 
 
-def test_find_upper_permutation():
-    t = random_transition_tensor(SMALL, 2, density=0.2, value_bound=3, seed=8)
-    shuffled = t.permute_upper((1, 0))
-    assert t != shuffled  # the draw is asymmetric for this seed
-    assert find_upper_permutation(t, shuffled) == (1, 0)
-    assert find_upper_permutation(t, t) == (0, 1)
-    other = random_transition_tensor(SMALL, 2, density=0.2, value_bound=3, seed=9)
-    assert find_upper_permutation(t, other) is None
-    assert find_upper_permutation(t, SparseTensor.zero(SMALL, 1)) is None
-
-
 def test_type2_assoc_report_rendering():
     ok = Type2AssocReport(seed=1, action_passed=True, entrywise_passed=True)
     assert ok.lines() == [
         "CHECK type2-assoc-action seed=1 -> PASS",
         "CHECK type2-assoc-entrywise seed=1 -> PASS",
     ]
-    with_witness = Type2AssocReport(
-        seed=2, action_passed=True, entrywise_passed=False,
-        permutation_witness=(1, 0), permutation_searched=True,
-    )
-    assert with_witness.lines()[-1] == "note: upper-group permutation witness (1, 0)"
-    searched_dry = Type2AssocReport(
-        seed=3, action_passed=True, entrywise_passed=False, permutation_searched=True
-    )
-    assert searched_dry.lines()[-1] == "note: no upper-group permutation matches"
-    unsearched = Type2AssocReport(seed=4, action_passed=True, entrywise_passed=False)
-    assert unsearched.lines()[-1] == "note: permutation search skipped (too many groups)"
+    mismatch = Type2AssocReport(seed=2, action_passed=True, entrywise_passed=False)
+    assert mismatch.lines() == [
+        "CHECK type2-assoc-action seed=2 -> PASS",
+        "CHECK type2-assoc-entrywise seed=2 -> FAIL",
+    ]
 
 
 def test_audit_nnz_corpus(corpus):

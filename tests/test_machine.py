@@ -3,10 +3,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tmtensor import (
-    BoundaryOverflow,
     Configuration,
     DuplicateName,
-    Halted,
     IncompleteDelta,
     MachineFormatError,
     MissingField,
@@ -151,16 +149,15 @@ def test_extend_delta_m1(m1):
     assert ext[(0, 2)] == (0, 2, 0)  # halt states absorb
     assert ext[(1, 1)] == (1, 1, 1)
     assert ext[(0, 1)] == (1, 2, 1)
-    assert set(ext.rules) == {(j, k) for j in range(2) for k in range(3)}
+    assert set(ext) == {(j, k) for j in range(2) for k in range(3)}
 
 
 def test_oracle_step_m1(m1):
     c1 = Configuration((1, 1, 0, 0), head=1, state=1)
     assert oracle_step(m1, c1) == Configuration((1, 1, 0, 0), head=2, state=1)
-    assert isinstance(oracle_step(m1, Configuration((1, 1, 1, 0), head=3, state=2)), Halted)
+    assert oracle_step(m1, Configuration((1, 1, 1, 0), head=3, state=2)) is RunStatus.HALTED
     out = oracle_step(m1, Configuration((1, 1, 1, 1), head=4, state=1))
-    assert isinstance(out, BoundaryOverflow)
-    assert out.target == 5
+    assert out is RunStatus.OVERFLOW
 
 
 def test_oracle_run_m1_trace(m1):
@@ -212,10 +209,10 @@ increment_configs = st.builds(
 @given(increment_configs)
 def test_step_touches_only_the_head_cell(increment, config):
     outcome = oracle_step(increment, config)
-    if isinstance(outcome, Halted):
+    if outcome is RunStatus.HALTED:
         assert config.state in increment.halt_states
         return
-    if isinstance(outcome, BoundaryOverflow):
+    if outcome is RunStatus.OVERFLOW:
         return
     changed = [i for i in range(4) if outcome.tape[i] != config.tape[i]]
     assert changed in ([], [config.head - 1])

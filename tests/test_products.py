@@ -14,8 +14,7 @@ from tmtensor import (
     encode_config,
     encode_machine,
     evolve,
-    global_factor,
-    local_factor,
+    factors,
     oracle_run,
     restrict_k_nonzero,
     type1,
@@ -82,23 +81,23 @@ def test_factors_on_m1(m1):
     dims = m1.dims(4)
     a1 = encode_config(Configuration((1, 1, 0, 0), head=1, state=1), dims)
     b = encode_machine(m1, dims).tensor
-    assert local_factor(a1, b) == {(1, 1): 1, (2, 1): 1, (3, 0): 1, (4, 0): 1}
-    assert global_factor(a1, b) == {(0, 1): 3, (1, 2): 1}
+    assert factors(a1, b) == (
+        {(1, 1): 1, (2, 1): 1, (3, 0): 1, (4, 0): 1},
+        {(0, 1): 3, (1, 2): 1},
+    )
 
 
 def test_factors_zero_configuration(m1):
     dims = m1.dims(4)
     b = encode_machine(m1, dims).tensor
     zero = SparseTensor.zero(dims, 0)
-    assert local_factor(zero, b) == {}
-    assert global_factor(zero, b) == {}
+    assert factors(zero, b) == ({}, {})
 
 
-def test_local_factor_single_entry():
+def test_factors_single_entry():
     b = SparseTensor.from_entries(DIMS, 1, [(((1, 1, 1, 1), (2, 0, 1, 2)), 1)])
     a = SparseTensor.from_entries(DIMS, 0, [(((1, 1, 1, 1),), 5)])
-    assert local_factor(a, b) == {(2, 0): 5}
-    assert global_factor(a, b) == {(1, 2): 5}
+    assert factors(a, b) == ({(2, 0): 5}, {(1, 2): 5})
 
 
 def test_type1_m1_worked_product(m1):
@@ -145,8 +144,7 @@ def test_type1_matches_brute_force(p, seed):
 def test_type1_equals_factor_outer_product(seed):
     a = random_config_tensor(DIMS, density=0.4, value_bound=3, seed=seed)
     b = random_transition_tensor(DIMS, 1, density=0.2, value_bound=3, seed=seed + 50)
-    local = local_factor(a, b)
-    glob = global_factor(a, b)
+    local, glob = factors(a, b)
     expected = {
         ((i, j, k, l),): lv * gv for (i, j), lv in local.items() for (k, l), gv in glob.items()
     }
@@ -160,6 +158,20 @@ def test_type2_matches_brute_force(seed):
     d = type2(b, c)
     assert d.upper_count == 2
     assert d.entries == brute_force_type2_order8(b, c)
+
+
+def test_type2_entrywise_associative_exhaustive():
+    # Every triple of 0-1 order-8 tensors over the two quads of Dims(1, 1, 2):
+    # re-association changes neither a coordinate nor a value.
+    dims = Dims(1, 1, 2)
+    coords = list(itertools.product(dims.iter_quads(), repeat=2))
+    tensors = [
+        SparseTensor(dims, 1, {coord: 1 for coord, bit in zip(coords, bits) if bit})
+        for bits in itertools.product((0, 1), repeat=len(coords))
+    ]
+    assert len(tensors) == 16
+    for b, c, f in itertools.product(tensors, repeat=3):
+        assert type2(type2(b, c), f) == type2(b, type2(c, f)), (b.entries, c.entries, f.entries)
 
 
 def test_type2_zero_operand():
@@ -260,10 +272,9 @@ def test_factor_shapes_on_characteristic_inputs(corpus):
         dims = machine.dims(4)
         b = encode_machine(machine, dims).tensor
         a = encode_config(config, dims)
-        local = local_factor(a, b)
+        local, glob = factors(a, b)
         assert sorted(i for i, _ in local) == [1, 2, 3, 4], name
         assert set(local.values()) == {1}, name
-        glob = global_factor(a, b)
         real = [(k, l) for k, l in glob if k != 0]
         assert len(real) == 1 and glob[real[0]] == 1, name
 

@@ -84,16 +84,6 @@ def test_order_tracks_upper_count():
     assert SparseTensor.zero(DIMS, 2).order == 12
 
 
-def test_permute_upper():
-    coord = ((1, 1, 1, 1), (2, 0, 1, 2), (1, 0, 0, 1))
-    t = SparseTensor.from_entries(DIMS, 2, [(coord, 5)])
-    swapped = t.permute_upper((1, 0))
-    assert swapped.get(((2, 0, 1, 2), (1, 1, 1, 1), (1, 0, 0, 1))) == 5
-    assert swapped.permute_upper((1, 0)) == t
-    with pytest.raises(ArityMismatch):
-        t.permute_upper((0, 0))
-
-
 def test_dump_format_exact():
     t = SparseTensor.from_entries(DIMS, 1, [((X[0], Y[0]), 1), ((X[0], X[0]), -2)])
     assert t.to_text() == (
@@ -123,6 +113,26 @@ def test_from_text_rejects_garbage():
         SparseTensor.from_text("not a header\n")
     with pytest.raises(ValueError):
         SparseTensor.from_text("dims 2 1 1  upper 0\n1 1 1 1\n")
+
+
+def test_from_text_rejects_duplicate_lines():
+    with pytest.raises(ValueError):
+        SparseTensor.from_text("dims 2 1 1  upper 0\n1 1 1 1 : 1\n1 1 1 1 : 1\n")
+
+
+def test_from_text_rejects_unsorted_lines():
+    with pytest.raises(ValueError):
+        SparseTensor.from_text("dims 2 1 1  upper 0\n2 0 1 2 : -1\n1 1 1 1 : 2\n")
+
+
+def test_from_text_rejects_zero_lines():
+    with pytest.raises(ValueError):
+        SparseTensor.from_text("dims 2 1 1  upper 0\n1 1 1 1 : 2\n2 0 1 2 : 0\n")
+
+
+def test_from_text_rejects_blank_lines():
+    with pytest.raises(ValueError):
+        SparseTensor.from_text("dims 2 1 1  upper 0\n\n1 1 1 1 : 2\n2 0 1 2 : -1\n")
 
 
 quad = st.tuples(
