@@ -15,6 +15,7 @@ from .encoding import (
     restrict_k_nonzero,
 )
 from .errors import (
+    DEFAULT_CAP,
     ArityMismatch,
     DimsMismatch,
     DuplicateName,
@@ -30,15 +31,11 @@ from .errors import (
     UnknownToken,
 )
 from .harness import (
-    AuditReport,
+    Check,
     EvolutionReport,
-    PowerReport,
-    TrialResult,
-    Type2AssocReport,
     audit_nnz,
     mixed_assoc_trial,
-    random_config_tensor,
-    random_transition_tensor,
+    random_tensor,
     type2_assoc_trial,
     verify_evolution,
     verify_power,
@@ -58,7 +55,6 @@ from .machine import (
     parse_machine,
 )
 from .products import (
-    DEFAULT_CAP,
     Evolution,
     evolve,
     factors,
@@ -72,7 +68,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ArityMismatch",
-    "AuditReport",
+    "Check",
     "Configuration",
     "Coord",
     "DEFAULT_CAP",
@@ -96,10 +92,7 @@ __all__ = [
     "TMTensorError",
     "TensorError",
     "EvolutionReport",
-    "PowerReport",
     "Trace",
-    "TrialResult",
-    "Type2AssocReport",
     "UnknownToken",
     "audit_nnz",
     "decode_config",
@@ -116,8 +109,7 @@ __all__ = [
     "oracle_step",
     "parse_document",
     "parse_machine",
-    "random_config_tensor",
-    "random_transition_tensor",
+    "random_tensor",
     "restrict_k_nonzero",
     "type1",
     "type2",

@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 from .encoding import (
     decode_config,
@@ -19,7 +19,7 @@ from .encoding import (
     restrict_k_nonzero,
 )
 from .errors import MachineFormatError, ResourceLimit, TensorError
-from .harness import mixed_assoc_trial, type2_assoc_trial, verify_evolution, verify_power
+from .harness import Check, mixed_assoc_trial, type2_assoc_trial, verify_evolution, verify_power
 from .machine import (
     Configuration,
     Machine,
@@ -38,20 +38,27 @@ def _config_line(machine: Machine, t: int, config: Configuration) -> str:
     return f"t={t} state={machine.state_name(config.state)} head={config.head} tape={tape}"
 
 
-def _load(args: argparse.Namespace) -> tuple[Machine, list[str]]:
+def _load(args: argparse.Namespace) -> tuple[Machine, list[str] | None]:
+    """The machine and its tape tokens; ``--tape`` wins over the file's tape
+    line, and the tokens are None when neither gives a tape."""
     doc = parse_document(Path(args.machine_file).read_text())
     if args.tape is not None:
-        tokens = args.tape.split()
-    elif doc.tape is not None:
-        tokens = list(doc.tape)
-    else:
-        tokens = []
-    return doc.machine, tokens
+        return doc.machine, args.tape.split()
+    return doc.machine, None if doc.tape is None else list(doc.tape)
+
+
+def _print_checks(checks: Iterable[Check]) -> int:
+    """Print each verdict line as it comes; 0 if every check passed, else 1."""
+    failed = False
+    for check in checks:
+        print(check.line())
+        failed = failed or not check.passed
+    return 1 if failed else 0
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     machine, tokens = _load(args)
-    initial = initial_configuration(machine, tokens, args.cells)
+    initial = initial_configuration(machine, tokens or [], args.cells)
     trace = oracle_run(machine, initial, args.steps)
     for t, config in enumerate(trace.configs, start=1):
         print(_config_line(machine, t, config))
@@ -62,7 +69,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_evolve(args: argparse.Namespace) -> int:
     machine, tokens = _load(args)
     dims = machine.dims(args.cells)
-    initial = initial_configuration(machine, tokens, args.cells)
+    initial = initial_configuration(machine, tokens or [], args.cells)
     b, dropped = encode_machine(machine, dims)
     if dropped:
         print(format_dropped(dropped), file=sys.stderr)
@@ -96,7 +103,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     machine, tokens = _load(args)
-    report = verify_evolution(machine, tokens, machine.dims(args.cells), args.steps)
+    report = verify_evolution(machine, tokens or [], machine.dims(args.cells), args.steps)
     for line in report.lines():
         print(line)
     return 0 if report.passed else 1
@@ -110,32 +117,25 @@ def cmd_compose(args: argparse.Namespace) -> int:
         print(format_dropped(dropped), file=sys.stderr)
     power = type2_power(b, args.power, cap=args.cap)
     print(f"power={args.power} upper={power.upper_count} nnz={power.nnz}")
-    if args.tape is None:
+    if tokens is None:
         return 0
-    report = verify_power(machine, tokens, dims, power, args.power, args.steps)
-    for line in report.lines():
-        print(line)
-    return 0 if report.passed else 1
+    return _print_checks(verify_power(machine, tokens, dims, power, args.power, args.steps))
 
 
 def cmd_assoc(args: argparse.Namespace) -> int:
     dims = Dims(cells=args.cells, symbols=args.symbols, states=args.states + 1)
-    ok = True
-    for offset in range(args.trials):
-        seed = args.seed + offset
-        result = mixed_assoc_trial(
-            dims, args.p, args.q, args.density, seed, cap=args.cap
-        )
-        print(result.line())
-        ok = ok and result.passed
-        if args.r is not None:
-            report = type2_assoc_trial(
-                dims, args.p, args.q, args.r, args.density, seed, cap=args.cap
-            )
-            for line in report.lines():
-                print(line)
-            ok = ok and report.action_passed and report.entrywise_passed
-    return 0 if ok else 1
+
+    # A generator: each trial runs only once the previous trial's lines are
+    # printed, so the lines before a ResourceLimit still reach stdout.
+    def checks() -> Iterator[Check]:
+        for seed in range(args.seed, args.seed + args.trials):
+            yield mixed_assoc_trial(dims, args.p, args.q, args.density, seed, cap=args.cap)
+            if args.r is not None:
+                yield from type2_assoc_trial(
+                    dims, args.p, args.q, args.r, args.density, seed, cap=args.cap
+                )
+
+    return _print_checks(checks())
 
 
 def _count(minimum: int) -> Callable[[str], int]:

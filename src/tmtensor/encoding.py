@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import ArityMismatch, DimsMismatch, NotCharacteristic
+from .errors import DEFAULT_CAP, ArityMismatch, DimsMismatch, NotCharacteristic, ResourceLimit
 from .machine import Configuration, Machine, extend_delta
 from .tensor import Coord, Dims, SparseTensor
 
@@ -76,14 +76,19 @@ def encode_machine(machine: Machine, dims: Dims) -> MachineEncoding:
       * the cell is active (k1 != 0, i1 = l1) and the extended transition map
         fixes the successor (j2, k2, l2 = l1 + move), with l2 still in window.
     Active combinations whose l2 falls outside 1..cells are reported in
-    ``dropped`` instead of being stored.
+    ``dropped`` instead of being stored.  Raises ResourceLimit, before building
+    anything, when the cells^2 * symbols * (states - 1) index combinations (a
+    bound on the entries) exceed ``DEFAULT_CAP``.
     """
     if dims.symbols != machine.m + 1:
         raise DimsMismatch(f"dims carry {dims.symbols} symbols, machine has {machine.m + 1}")
     if dims.states != machine.n + 1:
         raise DimsMismatch(f"dims carry {dims.states} state slots, machine needs {machine.n + 1}")
-    ext = extend_delta(machine)
     cells = dims.cells
+    combinations = cells * cells * dims.symbols * (dims.states - 1)
+    if combinations > DEFAULT_CAP:
+        raise ResourceLimit(f"machine tensor has {combinations} index combinations, cap is {DEFAULT_CAP}")
+    ext = extend_delta(machine)
     entries: dict[Coord, int] = {}
     dropped: list[tuple[int, int, int]] = []
     for i1 in range(1, cells + 1):

@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the entry budget behind
+:class:`ResourceLimit`."""
+
+# Budget for every materialisation: predicted composition terms, transition
+# tensor entries, random-tensor draws.
+DEFAULT_CAP = 10_000_000
 
 
 class TMTensorError(Exception):
@@ -50,4 +55,4 @@ class NotCharacteristic(TensorError):
 
 
 class ResourceLimit(TMTensorError):
-    """A contraction would exceed the configured entry budget."""
+    """A materialisation would exceed the configured entry budget."""

@@ -16,9 +16,34 @@ from dataclasses import dataclass
 from random import Random
 
 from .encoding import encode_config, encode_machine, restrict_k_nonzero
+from .errors import DEFAULT_CAP, ResourceLimit
 from .machine import Machine, RunStatus, Trace, initial_configuration, oracle_run
-from .products import DEFAULT_CAP, evolve, type1, type2
+from .products import Evolution, evolve, type1, type2
 from .tensor import Coord, Dims, SparseTensor, format_coord
+
+# Random configuration tensors applied to both composites of a re-association
+# trial whose composites differ.
+ACTION_SAMPLES = 10
+# Random tensor values lie in 1..VALUE_BOUND.
+VALUE_BOUND = 3
+
+
+@dataclass(frozen=True)
+class Check:
+    """One verdict.  :meth:`line` writes it as ``CHECK`` followed by
+    ``<name>[ <detail>] -> PASS|FAIL[ witness="<coord>"]``."""
+
+    name: str
+    detail: str
+    passed: bool
+    witness: Coord | None = None
+
+    def line(self) -> str:
+        subject = f"{self.name} {self.detail}" if self.detail else self.name
+        verdict = "PASS" if self.passed else "FAIL"
+        if self.witness is not None:
+            verdict += f' witness="{format_coord(self.witness)}"'
+        return f"CHECK {subject} -> {verdict}"
 
 
 def _random_tensor(
@@ -28,6 +53,10 @@ def _random_tensor(
         raise ValueError("density must lie in (0, 1]")
     if value_bound < 1:
         raise ValueError("value_bound must be >= 1")
+    # One draw per coordinate: refuse before drawing when that is over the cap.
+    draws = dims.quad_count ** (upper_count + 1)
+    if draws > DEFAULT_CAP:
+        raise ResourceLimit(f"random tensor would take {draws} draws, cap is {DEFAULT_CAP}")
     quads = list(dims.iter_quads())
     entries: dict[Coord, int] = {}
     for coord in itertools.product(quads, repeat=upper_count + 1):
@@ -36,13 +65,11 @@ def _random_tensor(
     return SparseTensor(dims, upper_count, entries)
 
 
-def random_config_tensor(dims: Dims, density: float, value_bound: int, seed: int) -> SparseTensor:
-    return _random_tensor(Random(seed), dims, 0, density, value_bound)
-
-
-def random_transition_tensor(
+def random_tensor(
     dims: Dims, upper_count: int, density: float, value_bound: int, seed: int
 ) -> SparseTensor:
+    """Seeded random integer tensor: each coordinate is present with probability
+    ``density`` and carries a value in 1..value_bound."""
     return _random_tensor(Random(seed), dims, upper_count, density, value_bound)
 
 
@@ -53,48 +80,55 @@ def _first_difference(t1: SparseTensor, t2: SparseTensor) -> Coord | None:
     return None
 
 
-def _agrees(trace: Trace, a: SparseTensor, dims: Dims, t: int) -> bool:
-    """Whether ``a`` restricts to the simulator's configuration at trajectory index
-    t: held once halted, empty once off the window (the budget must reach t)."""
-    restricted = restrict_k_nonzero(a)
-    if t <= len(trace.configs):
-        return restricted == encode_config(trace.configs[t - 1], dims)
-    if trace.status is RunStatus.HALTED:
-        return restricted == encode_config(trace.configs[-1], dims)
-    return restricted.is_zero
-
-
-@dataclass
-class StepAgreement:
-    t: int
-    agree: bool
+def _run(
+    machine: Machine,
+    tape: list[str] | tuple[str, ...],
+    dims: Dims,
+    transition: SparseTensor,
+    stride: int,
+    applications: int,
+) -> tuple[Trace, Evolution, list[bool]]:
+    """Simulate ``stride * applications`` steps and apply ``transition``
+    ``applications`` times from the same initial configuration.  Entry a of the
+    returned list says whether the tensor after a applications restricts to the
+    simulator's configuration at trajectory index 1 + a * stride: held once
+    halted, empty once off the window."""
+    initial = initial_configuration(machine, tape, dims.cells)
+    trace = oracle_run(machine, initial, stride * applications)
+    evolution = evolve(encode_config(initial, dims), transition, applications)
+    agree = []
+    for a, a_t in enumerate(evolution.tensors):
+        t = 1 + a * stride
+        restricted = restrict_k_nonzero(a_t)
+        if t <= len(trace.configs):
+            agree.append(restricted == encode_config(trace.configs[t - 1], dims))
+        elif trace.status is RunStatus.HALTED:
+            agree.append(restricted == encode_config(trace.configs[-1], dims))
+        else:
+            agree.append(restricted.is_zero)
+    return trace, evolution, agree
 
 
 @dataclass
 class EvolutionReport:
-    """Per-step comparison of the evolved restrictions against the simulator."""
+    """Per-step comparison of the evolved restrictions against the simulator;
+    ``agree[t - 1]`` is the verdict at trajectory index t."""
 
-    steps: list[StepAgreement]
+    agree: list[bool]
     oracle_status: RunStatus
     tensor_overflow_step: int | None
     overflow_agree: bool
     passed: bool
 
-    def first_disagreement(self) -> int | None:
-        for step in self.steps:
-            if not step.agree:
-                return step.t
-        return None
-
     def lines(self) -> list[str]:
-        out = [f"t={s.t} agree={'yes' if s.agree else 'no'}" for s in self.steps]
+        out = [f"t={t} agree={'yes' if ok else 'no'}" for t, ok in enumerate(self.agree, start=1)]
         oracle = "yes" if self.oracle_status is RunStatus.OVERFLOW else "no"
         tensor = "no" if self.tensor_overflow_step is None else f"step {self.tensor_overflow_step}"
         out.append(
             f"overflow oracle={oracle} tensor={tensor} "
             f"agree={'yes' if self.overflow_agree else 'no'}"
         )
-        out.append(f"CHECK evolution -> {'PASS' if self.passed else 'FAIL'}")
+        out.append(Check("evolution", "", self.passed).line())
         return out
 
 
@@ -110,10 +144,8 @@ def verify_evolution(
 
     ``b_override`` substitutes the transition tensor (fault injection).
     """
-    initial = initial_configuration(machine, tape, dims.cells)
-    trace = oracle_run(machine, initial, steps)
     b = b_override if b_override is not None else encode_machine(machine, dims).tensor
-    evolution = evolve(encode_config(initial, dims), b, steps)
+    trace, evolution, agree = _run(machine, tape, dims, b, 1, steps)
 
     # Past an overflow the overflow step is compared instead of the tensors.
     if trace.status is RunStatus.OVERFLOW:
@@ -122,27 +154,9 @@ def verify_evolution(
     else:
         last = steps + 1
         overflow_agree = evolution.overflow_step is None
-    agreements = [
-        StepAgreement(t, _agrees(trace, evolution.tensors[t - 1], dims, t))
-        for t in range(1, last + 1)
-    ]
-    passed = overflow_agree and all(step.agree for step in agreements)
-    return EvolutionReport(agreements, trace.status, evolution.overflow_step, overflow_agree, passed)
-
-
-@dataclass
-class PowerReport:
-    """Agreement after each application of a composition power; ``t`` is the
-    trajectory index an application reaches."""
-
-    steps: list[StepAgreement]
-    passed: bool
-
-    def lines(self) -> list[str]:
-        return [
-            f"CHECK compose-action step={s.t - 1} -> {'PASS' if s.agree else 'FAIL'}"
-            for s in self.steps
-        ]
+    agree = agree[:last]
+    passed = overflow_agree and all(agree)
+    return EvolutionReport(agree, trace.status, evolution.overflow_step, overflow_agree, passed)
 
 
 def verify_power(
@@ -152,31 +166,14 @@ def verify_power(
     power_tensor: SparseTensor,
     power: int,
     steps: int,
-) -> PowerReport:
+) -> list[Check]:
     """Check that each application of ``power_tensor`` advances the simulator
     ``power`` steps, absorbing once halted and empty once off the window."""
-    initial = initial_configuration(machine, tape, dims.cells)
-    trace = oracle_run(machine, initial, power * steps)
-    evolution = evolve(encode_config(initial, dims), power_tensor, steps)
-    agreements = []
-    for application in range(1, steps + 1):
-        t = 1 + application * power
-        agreements.append(StepAgreement(t, _agrees(trace, evolution.tensors[application], dims, t)))
-    return PowerReport(agreements, all(step.agree for step in agreements))
-
-
-@dataclass
-class TrialResult:
-    name: str
-    seed: int
-    passed: bool
-    witness: Coord | None = None
-
-    def line(self) -> str:
-        tail = "PASS" if self.passed else "FAIL"
-        if self.witness is not None:
-            tail += f' witness="{format_coord(self.witness)}"'
-        return f"CHECK {self.name} seed={self.seed} -> {tail}"
+    _, _, agree = _run(machine, tape, dims, power_tensor, power, steps)
+    return [
+        Check("compose-action", f"step={application * power}", agree[application])
+        for application in range(1, steps + 1)
+    ]
 
 
 def mixed_assoc_trial(
@@ -185,37 +182,19 @@ def mixed_assoc_trial(
     q: int,
     density: float,
     seed: int,
-    value_bound: int = 3,
     cap: int = DEFAULT_CAP,
-) -> TrialResult:
+) -> Check:
     """Compare applying two transition tensors in sequence against applying
     their composition once, on random integer tensors; exact equality."""
     rng = Random(seed)
-    a = _random_tensor(rng, dims, 0, density, value_bound)
-    b = _random_tensor(rng, dims, p, density, value_bound)
-    c = _random_tensor(rng, dims, q, density, value_bound)
+    a = _random_tensor(rng, dims, 0, density, VALUE_BOUND)
+    b = _random_tensor(rng, dims, p, density, VALUE_BOUND)
+    c = _random_tensor(rng, dims, q, density, VALUE_BOUND)
     lhs = type1(type1(a, b), c)
     rhs = type1(a, type2(b, c, cap=cap))
     if lhs == rhs:
-        return TrialResult("mixed-assoc", seed, True)
-    return TrialResult("mixed-assoc", seed, False, _first_difference(lhs, rhs))
-
-
-@dataclass
-class Type2AssocReport:
-    """Re-association of the composition product, checked by what both composites
-    do to random configuration tensors and entry by entry, as derived in
-    :func:`~tmtensor.products.type2`."""
-
-    seed: int
-    action_passed: bool
-    entrywise_passed: bool
-
-    def lines(self) -> list[str]:
-        return [
-            f"CHECK type2-assoc-{kind} seed={self.seed} -> {'PASS' if ok else 'FAIL'}"
-            for kind, ok in (("action", self.action_passed), ("entrywise", self.entrywise_passed))
-        ]
+        return Check("mixed-assoc", f"seed={seed}", True)
+    return Check("mixed-assoc", f"seed={seed}", False, _first_difference(lhs, rhs))
 
 
 def type2_assoc_trial(
@@ -225,38 +204,31 @@ def type2_assoc_trial(
     r: int,
     density: float,
     seed: int,
-    value_bound: int = 3,
-    action_samples: int = 10,
     cap: int = DEFAULT_CAP,
-) -> Type2AssocReport:
+) -> list[Check]:
+    """Re-association of the composition product, checked entry by entry (as
+    derived in :func:`~tmtensor.products.type2`) and by what both composites do
+    to random configuration tensors.  Equal composites act alike, so the action
+    is sampled only when they differ."""
     rng = Random(seed)
-    b = _random_tensor(rng, dims, p, density, value_bound)
-    c = _random_tensor(rng, dims, q, density, value_bound)
-    f = _random_tensor(rng, dims, r, density, value_bound)
+    b = _random_tensor(rng, dims, p, density, VALUE_BOUND)
+    c = _random_tensor(rng, dims, q, density, VALUE_BOUND)
+    f = _random_tensor(rng, dims, r, density, VALUE_BOUND)
     left = type2(type2(b, c, cap=cap), f, cap=cap)
     right = type2(b, type2(c, f, cap=cap), cap=cap)
 
-    action_passed = True
-    for _ in range(action_samples):
-        a = _random_tensor(rng, dims, 0, density, value_bound)
-        if type1(a, left) != type1(a, right):
-            action_passed = False
-            break
-    return Type2AssocReport(seed, action_passed, left == right)
-
-
-@dataclass
-class AuditReport:
-    passed: bool
-    expected: int
-    actual: int
-    dropped: int
-
-    def line(self) -> str:
-        return (
-            f"CHECK nnz-audit expected={self.expected} actual={self.actual} "
-            f"dropped={self.dropped} -> {'PASS' if self.passed else 'FAIL'}"
-        )
+    entrywise = left == right
+    action = True
+    if not entrywise:
+        for _ in range(ACTION_SAMPLES):
+            a = _random_tensor(rng, dims, 0, density, VALUE_BOUND)
+            if type1(a, left) != type1(a, right):
+                action = False
+                break
+    return [
+        Check("type2-assoc-action", f"seed={seed}", action),
+        Check("type2-assoc-entrywise", f"seed={seed}", entrywise),
+    ]
 
 
 def audit_nnz(
@@ -264,7 +236,7 @@ def audit_nnz(
     dims: Dims,
     tensor: SparseTensor | None = None,
     dropped: list[tuple[int, int, int]] | None = None,
-) -> AuditReport:
+) -> Check:
     """Check the closed-form count of transition-tensor entries.
 
     Inactive combinations contribute (N-1) * N * (m+1) * n entries, active
@@ -277,4 +249,5 @@ def audit_nnz(
         dropped = built.dropped if dropped is None else dropped
     cells, m, n = dims.cells, machine.m, machine.n
     expected = (cells - 1) * cells * (m + 1) * n + cells * (m + 1) * n - len(dropped)
-    return AuditReport(tensor.nnz == expected, expected, tensor.nnz, len(dropped))
+    detail = f"expected={expected} actual={tensor.nnz} dropped={len(dropped)}"
+    return Check("nnz-audit", detail, tensor.nnz == expected)

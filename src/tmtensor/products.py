@@ -15,10 +15,8 @@ import itertools
 from dataclasses import dataclass
 
 from .encoding import decode_config, restrict_k_nonzero
-from .errors import ArityMismatch, DimsMismatch, NotCharacteristic, ResourceLimit
+from .errors import DEFAULT_CAP, ArityMismatch, DimsMismatch, NotCharacteristic, ResourceLimit
 from .tensor import Coord, Quad, SparseTensor
-
-DEFAULT_CAP = 10_000_000
 
 PairMap = dict[tuple[int, int], int]
 

@@ -109,11 +109,9 @@ def test_criterion_3_composition_semantics(corpus):
 def test_criterion_4_type2_associativity():
     failures = []
     for seed in range(20):
-        report = type2_assoc_trial(SMALL, 1, 1, 1, density=0.05, seed=seed, action_samples=10)
-        if not report.action_passed:
-            failures.append((seed, "action"))
-        if not report.entrywise_passed:
-            failures.append((seed, "entrywise"))
+        for check in type2_assoc_trial(SMALL, 1, 1, 1, density=0.05, seed=seed):
+            if not check.passed:
+                failures.append((seed, check.name))
     verdict(4, "type2-associativity", not failures, "20 trials, entrywise identical" if not failures else str(failures))
 
 

@@ -1,8 +1,13 @@
+import contextlib
+import io
 import itertools
+import os
+import shlex
+from pathlib import Path
 
 import pytest
 
-from tmtensor import RunStatus, Type2AssocReport, initial_configuration, oracle_run
+from tmtensor import Check, RunStatus, initial_configuration, oracle_run
 from tmtensor.cli import main
 
 from conftest import machine_path, machine_text
@@ -58,6 +63,17 @@ def test_simulate_reads_tape_line_from_file(tmp_path, capsys):
     # an explicit --tape wins over the file's tape line
     code, out, _ = run(capsys, "simulate", str(doc), "--tape", "1", "--cells", "4")
     assert out[0] == "t=1 state=q1 head=1 tape=1 _ _ _"
+
+
+def test_compose_reads_tape_line_from_file(tmp_path, capsys):
+    doc = tmp_path / "with_tape.tm"
+    doc.write_text(machine_text("m1_unary_append") + "tape: 1 1\n")
+    code, out, _ = run(capsys, "compose", str(doc), "--cells", "4", "--power", "2", "--steps", "2")
+    assert code == 0
+    assert out[1:] == [
+        "CHECK compose-action step=2 -> PASS",
+        "CHECK compose-action step=4 -> PASS",
+    ]
 
 
 def input_words(machine, cells):
@@ -218,7 +234,10 @@ def test_assoc_with_pure_trials(capsys):
 
 def test_assoc_fails_on_entrywise_mismatch(capsys, monkeypatch):
     def mismatch(dims, p, q, r, density, seed, cap):
-        return Type2AssocReport(seed, action_passed=True, entrywise_passed=False)
+        return [
+            Check("type2-assoc-action", f"seed={seed}", True),
+            Check("type2-assoc-entrywise", f"seed={seed}", False),
+        ]
 
     monkeypatch.setattr("tmtensor.cli.type2_assoc_trial", mismatch)
     code, out, _ = run(capsys, "assoc", "--trials", "1", "--r", "1", "--density", "0.05")
@@ -227,6 +246,22 @@ def test_assoc_fails_on_entrywise_mismatch(capsys, monkeypatch):
         "CHECK type2-assoc-action seed=0 -> PASS",
         "CHECK type2-assoc-entrywise seed=0 -> FAIL",
     ]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # B over 2000 cells would hold 2000^2 * 2 * 2 = 1.6e7 entries
+        ["evolve", M1, "--cells", "2000"],
+        # the second tensor of a trial would take 144^4 = 4.3e8 draws
+        ["assoc", "--cells", "6", "--p", "3", "--trials", "1"],
+    ],
+)
+def test_oversize_materialisation_exits_3_before_building(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == []
+    assert "cap is 10000000" in err
 
 
 def test_assoc_resource_limit(capsys):
@@ -264,3 +299,75 @@ def test_commands_are_deterministic(capsys):
     _, first, _ = run(capsys, *args)
     _, second, _ = run(capsys, *args)
     assert first == second
+
+
+# The stdout contract: a fixed matrix of invocations whose stdout and exit code
+# must match tests/golden/cli.txt byte for byte.  Regenerate the file with
+# `PYTHONPATH=src python tests/test_cli.py` from the repository root, and only
+# when an output change is intended.
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden" / "cli.txt"
+
+# Per corpus machine: its corpus tape (m1 and binary_increment halt) and a
+# full window of 1s (they overflow; the bouncer does neither).
+GOLDEN_TAPES = {
+    "m1_unary_append": ("1 1", "1 1 1 1"),
+    "binary_increment": ("0 1 1", "1 1 1 1"),
+    "bouncer": ("", "1 1 1 1"),
+}
+GOLDEN_MATRIX = [
+    (command, f"tests/machines/{name}.tm", "--tape", tape, "--cells", "4", *budget)
+    for name, tapes in GOLDEN_TAPES.items()
+    for tape in tapes
+    for command, *budget in (
+        ("simulate", "--steps", "10"),
+        ("evolve", "--steps", "10"),
+        ("verify", "--steps", "10"),
+        ("compose", "--power", "2", "--steps", "2"),
+    )
+] + [
+    ("evolve", "tests/machines/m1_unary_append.tm", "--tape", "1 1 1 1", "--cells", "4", "--strict"),
+    ("verify", "tests/machines/binary_increment.tm", "--tape", "1", "--cells", "3", "--steps", "0"),
+    ("compose", "tests/machines/m1_unary_append.tm", "--cells", "4", "--power", "1"),
+    ("compose", "tests/machines/bouncer.tm", "--tape", "1", "--cells", "2", "--power", "3", "--steps", "3"),
+    ("assoc", "--trials", "4", "--seed", "0"),
+    ("assoc", "--trials", "3", "--seed", "5", "--p", "2", "--q", "1", "--density", "0.1"),
+    ("assoc", "--trials", "1", "--seed", "3", "--p", "1", "--q", "2", "--density", "0.1"),
+    ("assoc", "--cells", "3", "--states", "2", "--trials", "2", "--seed", "1", "--density", "0.1"),
+    ("assoc", "--trials", "3", "--seed", "1", "--r", "1", "--density", "0.05"),
+    # exit 3 at the sixth trial's composition, after the first five trials' lines
+    ("assoc", "--trials", "8", "--r", "1", "--density", "0.05", "--cap", "40000"),
+    ("compose", "tests/machines/m1_unary_append.tm", "--cells", "4", "--power", "4", "--cap", "1000"),
+    ("simulate", "tests/machines/no_such_machine.tm"),
+]
+
+
+def golden_block(argv):
+    """`$ <argv>`, `exit=<code>`, then stdout verbatim; run from the repository root."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(list(argv))
+    return f"$ {shlex.join(argv)}\nexit={code}\n{out.getvalue()}"
+
+
+def read_golden():
+    blocks = {}
+    for line in GOLDEN.read_text().splitlines(keepends=True):
+        if line.startswith("$ "):
+            header = line
+            blocks[header] = ""
+        blocks[header] += line
+    return blocks
+
+
+@pytest.mark.parametrize("argv", GOLDEN_MATRIX, ids=shlex.join)
+def test_stdout_matches_golden(argv, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    block = golden_block(argv)
+    assert block == read_golden()[block.splitlines(keepends=True)[0]]
+
+
+if __name__ == "__main__":
+    os.chdir(ROOT)
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text("".join(golden_block(argv) for argv in GOLDEN_MATRIX))

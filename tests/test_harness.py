@@ -1,15 +1,15 @@
 import pytest
 
 from tmtensor import (
+    Check,
     Dims,
     ResourceLimit,
     SparseTensor,
-    Type2AssocReport,
     audit_nnz,
     encode_machine,
     mixed_assoc_trial,
-    random_config_tensor,
-    random_transition_tensor,
+    random_tensor,
+    type1,
     type2_assoc_trial,
     type2_power,
     verify_evolution,
@@ -23,7 +23,7 @@ BIG = Dims(3, 2, 3)     # window 3, symbols m=1, states n=2
 def test_verify_evolution_m1(m1):
     report = verify_evolution(m1, ["1", "1"], m1.dims(4), 10)
     assert report.passed
-    assert [s.t for s in report.steps] == list(range(1, 12))
+    assert report.lines()[:11] == [f"t={t} agree=yes" for t in range(1, 12)]
     assert report.lines()[-1] == "CHECK evolution -> PASS"
 
 
@@ -44,14 +44,15 @@ def test_verify_evolution_corrupted_b_names_the_step(m1):
         m1, ["1", "1"], dims, 10, b_override=SparseTensor(dims, 1, broken)
     )
     assert not report.passed
-    assert report.first_disagreement() == 2
-    assert "FAIL" in report.lines()[-1]
+    assert report.agree.index(False) == 1  # trajectory index 2
+    assert report.lines()[:2] == ["t=1 agree=yes", "t=2 agree=no"]
+    assert report.lines()[-1] == "CHECK evolution -> FAIL"
 
 
 def test_verify_evolution_zero_steps(m1):
     report = verify_evolution(m1, ["1", "1"], m1.dims(4), 0)
     assert report.passed
-    assert len(report.steps) == 1
+    assert report.agree == [True]
 
 
 def test_verify_reports_are_deterministic(increment):
@@ -64,48 +65,52 @@ def test_verify_reports_are_deterministic(increment):
 def test_verify_power(m1):
     dims = m1.dims(4)
     b = encode_machine(m1, dims).tensor
-    report = verify_power(m1, ["1", "1"], dims, type2_power(b, 2), 2, 2)
-    assert report.passed
-    assert report.lines() == [
+    checks = verify_power(m1, ["1", "1"], dims, type2_power(b, 2), 2, 2)
+    assert [check.line() for check in checks] == [
         "CHECK compose-action step=2 -> PASS",
         "CHECK compose-action step=4 -> PASS",
     ]
     # b advances one step per application, not the two claimed
     wrong = verify_power(m1, ["1", "1"], dims, b, 2, 2)
-    assert not wrong.passed
-    assert wrong.lines()[0] == "CHECK compose-action step=2 -> FAIL"
+    assert wrong[0].line() == "CHECK compose-action step=2 -> FAIL"
 
 
-def test_random_config_tensor_density_one_fills_the_space():
+def test_random_tensor_density_one_fills_the_space():
     dims = Dims(1, 1, 2)
-    t = random_config_tensor(dims, density=1.0, value_bound=1, seed=0)
+    t = random_tensor(dims, 0, density=1.0, value_bound=1, seed=0)
     assert t.nnz == dims.quad_count
     assert set(t.entries) == {(quad,) for quad in dims.iter_quads()}
 
 
 def test_random_tensor_seed_determinism():
-    a = random_config_tensor(SMALL, density=0.5, value_bound=3, seed=42)
-    b = random_config_tensor(SMALL, density=0.5, value_bound=3, seed=42)
+    a = random_tensor(SMALL, 0, density=0.5, value_bound=3, seed=42)
+    b = random_tensor(SMALL, 0, density=0.5, value_bound=3, seed=42)
     assert a == b
-    assert a != random_config_tensor(SMALL, density=0.5, value_bound=3, seed=43)
+    assert a != random_tensor(SMALL, 0, density=0.5, value_bound=3, seed=43)
 
 
 def test_random_tensor_values_in_bound():
-    t = random_config_tensor(SMALL, density=1.0, value_bound=3, seed=9)
+    t = random_tensor(SMALL, 0, density=1.0, value_bound=3, seed=9)
     assert set(t.entries.values()) <= {1, 2, 3}
 
 
-def test_random_transition_tensor_arity_and_grid():
-    t = random_transition_tensor(Dims(1, 1, 2), 1, density=1.0, value_bound=2, seed=1)
+def test_random_tensor_arity_and_grid():
+    t = random_tensor(Dims(1, 1, 2), 1, density=1.0, value_bound=2, seed=1)
     assert all(len(coord) == 2 for coord in t.entries)
     assert t.nnz == Dims(1, 1, 2).quad_count ** 2
 
 
 def test_random_tensor_argument_validation():
     with pytest.raises(ValueError):
-        random_config_tensor(SMALL, density=0.0, value_bound=3, seed=0)
+        random_tensor(SMALL, 0, density=0.0, value_bound=3, seed=0)
     with pytest.raises(ValueError):
-        random_config_tensor(SMALL, density=0.5, value_bound=0, seed=0)
+        random_tensor(SMALL, 0, density=0.5, value_bound=0, seed=0)
+
+
+def test_random_tensor_refuses_draws_over_the_cap():
+    # 144 quads at Dims(6, 2, 2): upper count 3 would take 144^4 draws.
+    with pytest.raises(ResourceLimit):
+        random_tensor(Dims(6, 2, 2), 3, density=0.1, value_bound=3, seed=0)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -136,28 +141,76 @@ def test_mixed_assoc_resource_limit_on_big_composition():
 
 @pytest.mark.parametrize("seed", range(3))
 def test_type2_assoc_trial(seed):
-    report = type2_assoc_trial(SMALL, 1, 1, 1, density=0.05, seed=seed)
-    assert report.action_passed
-    assert report.entrywise_passed
-    assert report.lines()[0].endswith("PASS")
+    checks = type2_assoc_trial(SMALL, 1, 1, 1, density=0.05, seed=seed)
+    assert [check.line() for check in checks] == [
+        f"CHECK type2-assoc-action seed={seed} -> PASS",
+        f"CHECK type2-assoc-entrywise seed={seed} -> PASS",
+    ]
 
 
 def test_type2_assoc_trial_zero_tensors():
-    report = type2_assoc_trial(SMALL, 1, 1, 1, density=1e-9, seed=4)
-    assert report.action_passed and report.entrywise_passed
+    assert all(check.passed for check in type2_assoc_trial(SMALL, 1, 1, 1, density=1e-9, seed=4))
 
 
-def test_type2_assoc_report_rendering():
-    ok = Type2AssocReport(seed=1, action_passed=True, entrywise_passed=True)
-    assert ok.lines() == [
-        "CHECK type2-assoc-action seed=1 -> PASS",
-        "CHECK type2-assoc-entrywise seed=1 -> PASS",
+def test_check_line_grammar():
+    assert Check("evolution", "", True).line() == "CHECK evolution -> PASS"
+    assert (
+        Check("type2-assoc-entrywise", "seed=2", False).line()
+        == "CHECK type2-assoc-entrywise seed=2 -> FAIL"
+    )
+    witness = ((1, 0, 1, 1), (2, 1, 0, 2))
+    assert (
+        Check("mixed-assoc", "seed=3", False, witness).line()
+        == 'CHECK mixed-assoc seed=3 -> FAIL witness="1 0 1 1 | 2 1 0 2"'
+    )
+
+
+def counting_type1(monkeypatch):
+    """Wrap the harness's type1; the returned list grows by one per call."""
+    calls = []
+
+    def counted(a, b):
+        calls.append(1)
+        return type1(a, b)
+
+    monkeypatch.setattr("tmtensor.harness.type1", counted)
+    return calls
+
+
+def test_type2_assoc_trial_samples_nothing_when_composites_are_equal(monkeypatch):
+    calls = counting_type1(monkeypatch)
+    assert all(check.passed for check in type2_assoc_trial(SMALL, 1, 1, 1, density=0.05, seed=0))
+    assert calls == []
+
+
+UPPER = (1, 1, 1, 1)
+LEFT = SparseTensor(SMALL, 1, {(UPPER, (1, 0, 1, 1)): 1, (UPPER, (2, 1, 1, 2)): 1})
+
+
+@pytest.mark.parametrize(
+    "right, action, samples",
+    [
+        # The two lower groups trade their (state, head) pairs: a different
+        # tensor with the same marginals, so every sample acts alike.
+        (SparseTensor(SMALL, 1, {(UPPER, (1, 0, 1, 2)): 1, (UPPER, (2, 1, 1, 1)): 1}), "PASS", 10),
+        # A changed value changes a local and a global marginal: the first
+        # sample (density 1 weighs every upper group) tells them apart.
+        (SparseTensor(SMALL, 1, {(UPPER, (1, 0, 1, 1)): 2, (UPPER, (2, 1, 1, 2)): 1}), "FAIL", 1),
+    ],
+)
+def test_type2_assoc_trial_samples_the_action_when_composites_differ(
+    monkeypatch, right, action, samples
+):
+    # type2 is called for (b∘c), (b∘c)∘f, (c∘f), b∘(c∘f), in that order.
+    composites = iter([LEFT, LEFT, LEFT, right])
+    monkeypatch.setattr("tmtensor.harness.type2", lambda b, c, cap: next(composites))
+    calls = counting_type1(monkeypatch)
+    checks = type2_assoc_trial(SMALL, 1, 1, 1, density=1.0, seed=0)
+    assert [check.line() for check in checks] == [
+        f"CHECK type2-assoc-action seed=0 -> {action}",
+        "CHECK type2-assoc-entrywise seed=0 -> FAIL",
     ]
-    mismatch = Type2AssocReport(seed=2, action_passed=True, entrywise_passed=False)
-    assert mismatch.lines() == [
-        "CHECK type2-assoc-action seed=2 -> PASS",
-        "CHECK type2-assoc-entrywise seed=2 -> FAIL",
-    ]
+    assert len(calls) == 2 * samples
 
 
 def test_audit_nnz_corpus(corpus):
@@ -168,8 +221,7 @@ def test_audit_nnz_corpus(corpus):
 
 
 def test_audit_nnz_m1_values(m1):
-    report = audit_nnz(m1, m1.dims(4))
-    assert (report.expected, report.actual, report.dropped) == (62, 62, 2)
+    assert audit_nnz(m1, m1.dims(4)).line() == "CHECK nnz-audit expected=62 actual=62 dropped=2 -> PASS"
 
 
 def test_audit_nnz_fault_injection(m1):

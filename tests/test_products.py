@@ -21,7 +21,7 @@ from tmtensor import (
     type2,
     type2_power,
 )
-from tmtensor.harness import random_config_tensor, random_transition_tensor
+from tmtensor.harness import random_tensor
 
 DIMS = Dims(2, 2, 2)
 
@@ -135,15 +135,15 @@ def test_type1_operand_checks(m1):
 
 @pytest.mark.parametrize("p,seed", [(1, 0), (1, 1), (2, 2), (2, 3)])
 def test_type1_matches_brute_force(p, seed):
-    a = random_config_tensor(DIMS, density=0.4, value_bound=3, seed=seed)
-    b = random_transition_tensor(DIMS, p, density=0.2, value_bound=3, seed=seed + 100)
+    a = random_tensor(DIMS, 0, density=0.4, value_bound=3, seed=seed)
+    b = random_tensor(DIMS, p, density=0.2, value_bound=3, seed=seed + 100)
     assert type1(a, b).entries == brute_force_type1(a, b)
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_type1_equals_factor_outer_product(seed):
-    a = random_config_tensor(DIMS, density=0.4, value_bound=3, seed=seed)
-    b = random_transition_tensor(DIMS, 1, density=0.2, value_bound=3, seed=seed + 50)
+    a = random_tensor(DIMS, 0, density=0.4, value_bound=3, seed=seed)
+    b = random_tensor(DIMS, 1, density=0.2, value_bound=3, seed=seed + 50)
     local, glob = factors(a, b)
     expected = {
         ((i, j, k, l),): lv * gv for (i, j), lv in local.items() for (k, l), gv in glob.items()
@@ -153,8 +153,8 @@ def test_type1_equals_factor_outer_product(seed):
 
 @pytest.mark.parametrize("seed", range(3))
 def test_type2_matches_brute_force(seed):
-    b = random_transition_tensor(DIMS, 1, density=0.15, value_bound=3, seed=seed)
-    c = random_transition_tensor(DIMS, 1, density=0.15, value_bound=3, seed=seed + 10)
+    b = random_tensor(DIMS, 1, density=0.15, value_bound=3, seed=seed)
+    c = random_tensor(DIMS, 1, density=0.15, value_bound=3, seed=seed + 10)
     d = type2(b, c)
     assert d.upper_count == 2
     assert d.entries == brute_force_type2_order8(b, c)
@@ -176,14 +176,14 @@ def test_type2_entrywise_associative_exhaustive():
 
 def test_type2_zero_operand():
     zero = SparseTensor.zero(DIMS, 1)
-    c = random_transition_tensor(DIMS, 1, density=0.2, value_bound=2, seed=5)
+    c = random_tensor(DIMS, 1, density=0.2, value_bound=2, seed=5)
     assert type2(zero, c).is_zero
     assert type2(c, zero).is_zero
 
 
 def test_type2_upper_count_bookkeeping():
-    b1 = random_transition_tensor(DIMS, 1, density=0.1, value_bound=2, seed=1)
-    b2 = random_transition_tensor(DIMS, 2, density=0.05, value_bound=2, seed=2)
+    b1 = random_tensor(DIMS, 1, density=0.1, value_bound=2, seed=1)
+    b2 = random_tensor(DIMS, 2, density=0.05, value_bound=2, seed=2)
     assert type2(b1, b2).upper_count == 4
     assert type2(b2, b1).upper_count == 4
     with pytest.raises(ArityMismatch):
@@ -193,7 +193,7 @@ def test_type2_upper_count_bookkeeping():
 
 
 def test_type2_resource_limit():
-    b = random_transition_tensor(DIMS, 1, density=0.5, value_bound=2, seed=3)
+    b = random_tensor(DIMS, 1, density=0.5, value_bound=2, seed=3)
     with pytest.raises(ResourceLimit):
         type2(b, b, cap=10)
 
@@ -289,7 +289,7 @@ def test_q0_entries_never_interfere(corpus):
         for a_t in evolution.tensors:
             assert type1(a_t, b) == type1(restrict_k_nonzero(a_t), b), name
         for seed in range(3):  # arbitrary tensors, not just evolved ones
-            a = random_config_tensor(dims, density=0.3, value_bound=3, seed=seed)
+            a = random_tensor(dims, 0, density=0.3, value_bound=3, seed=seed)
             assert type1(a, b) == type1(restrict_k_nonzero(a), b), name
 
 
