@@ -55,7 +55,6 @@ from .machine import (
     parse_machine,
 )
 from .products import (
-    Evolution,
     evolve,
     factors,
     type1,
@@ -75,7 +74,6 @@ __all__ = [
     "DimsMismatch",
     "Dims",
     "DuplicateName",
-    "Evolution",
     "IncompleteDelta",
     "IndexOutOfRange",
     "Machine",

@@ -23,6 +23,7 @@ from .harness import Check, mixed_assoc_trial, type2_assoc_trial, verify_evoluti
 from .machine import (
     Configuration,
     Machine,
+    RunStatus,
     initial_configuration,
     oracle_run,
     parse_document,
@@ -73,30 +74,32 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     b, dropped = encode_machine(machine, dims)
     if dropped:
         print(format_dropped(dropped), file=sys.stderr)
-    evolution = evolve(encode_config(initial, dims), b, args.steps)
+    tensors = evolve(encode_config(initial, dims), b, args.steps)
 
-    status = "step-limit"
-    for t, a_t in enumerate(evolution.tensors, start=1):
-        if evolution.overflow_step is not None and t > evolution.overflow_step:
+    # The first empty restriction is where the machine left the window.
+    status = RunStatus.STEP_LIMIT
+    for t, a_t in enumerate(tensors, start=1):
+        restricted = restrict_k_nonzero(a_t)
+        if restricted.is_zero:
             print(f"t={t} nnz={a_t.nnz} status=overflow")
-            status = "overflow"
+            status = RunStatus.OVERFLOW
             break
-        config = decode_config(restrict_k_nonzero(a_t))
+        config = decode_config(restricted)
         print(_config_line(machine, t, config))
         halted = config.state in machine.halt_states
         print(f"t={t} nnz={a_t.nnz} status={'halted' if halted else 'ok'}")
         if halted:
-            status = "halted"
+            status = RunStatus.HALTED
             break
-    print(f"status={status}")
+    print(f"status={status.value}")
 
     if args.dump_dir is not None:
         dump_dir = Path(args.dump_dir)
         dump_dir.mkdir(parents=True, exist_ok=True)
         (dump_dir / "B.tsv").write_text(b.to_text())
-        for t, a_t in enumerate(evolution.tensors, start=1):
+        for t, a_t in enumerate(tensors, start=1):
             (dump_dir / f"A_{t}.tsv").write_text(a_t.to_text())
-    if args.strict and status == "overflow":
+    if args.strict and status is RunStatus.OVERFLOW:
         return 1
     return 0
 

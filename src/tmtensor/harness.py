@@ -15,10 +15,10 @@ import itertools
 from dataclasses import dataclass
 from random import Random
 
-from .encoding import encode_config, encode_machine, restrict_k_nonzero
+from .encoding import MachineEncoding, encode_config, encode_machine, restrict_k_nonzero
 from .errors import DEFAULT_CAP, ResourceLimit
 from .machine import Machine, RunStatus, Trace, initial_configuration, oracle_run
-from .products import Evolution, evolve, type1, type2
+from .products import evolve, type1, type2
 from .tensor import Coord, Dims, SparseTensor, format_coord
 
 # Random configuration tensors applied to both composites of a re-association
@@ -87,32 +87,36 @@ def _run(
     transition: SparseTensor,
     stride: int,
     applications: int,
-) -> tuple[Trace, Evolution, list[bool]]:
+) -> tuple[Trace, list[bool], int | None]:
     """Simulate ``stride * applications`` steps and apply ``transition``
     ``applications`` times from the same initial configuration.  Entry a of the
     returned list says whether the tensor after a applications restricts to the
     simulator's configuration at trajectory index 1 + a * stride: held once
-    halted, empty once off the window."""
+    halted, empty once off the window.  The last value is the first application
+    whose restriction is empty (the tensor side's overflow), or None."""
     initial = initial_configuration(machine, tape, dims.cells)
     trace = oracle_run(machine, initial, stride * applications)
-    evolution = evolve(encode_config(initial, dims), transition, applications)
     agree = []
-    for a, a_t in enumerate(evolution.tensors):
+    overflow: int | None = None
+    for a, a_t in enumerate(evolve(encode_config(initial, dims), transition, applications)):
         t = 1 + a * stride
         restricted = restrict_k_nonzero(a_t)
+        if overflow is None and restricted.is_zero:
+            overflow = a
         if t <= len(trace.configs):
             agree.append(restricted == encode_config(trace.configs[t - 1], dims))
         elif trace.status is RunStatus.HALTED:
             agree.append(restricted == encode_config(trace.configs[-1], dims))
         else:
             agree.append(restricted.is_zero)
-    return trace, evolution, agree
+    return trace, agree, overflow
 
 
 @dataclass
 class EvolutionReport:
     """Per-step comparison of the evolved restrictions against the simulator;
-    ``agree[t - 1]`` is the verdict at trajectory index t."""
+    ``agree[t - 1]`` is the verdict at trajectory index t, and
+    ``tensor_overflow_step`` the first step whose restriction is empty."""
 
     agree: list[bool]
     oracle_status: RunStatus
@@ -145,18 +149,18 @@ def verify_evolution(
     ``b_override`` substitutes the transition tensor (fault injection).
     """
     b = b_override if b_override is not None else encode_machine(machine, dims).tensor
-    trace, evolution, agree = _run(machine, tape, dims, b, 1, steps)
+    trace, agree, overflow_step = _run(machine, tape, dims, b, 1, steps)
 
     # Past an overflow the overflow step is compared instead of the tensors.
     if trace.status is RunStatus.OVERFLOW:
         last = len(trace.configs)
-        overflow_agree = evolution.overflow_step == last
+        overflow_agree = overflow_step == last
     else:
         last = steps + 1
-        overflow_agree = evolution.overflow_step is None
+        overflow_agree = overflow_step is None
     agree = agree[:last]
     passed = overflow_agree and all(agree)
-    return EvolutionReport(agree, trace.status, evolution.overflow_step, overflow_agree, passed)
+    return EvolutionReport(agree, trace.status, overflow_step, overflow_agree, passed)
 
 
 def verify_power(
@@ -169,7 +173,7 @@ def verify_power(
 ) -> list[Check]:
     """Check that each application of ``power_tensor`` advances the simulator
     ``power`` steps, absorbing once halted and empty once off the window."""
-    _, _, agree = _run(machine, tape, dims, power_tensor, power, steps)
+    _, agree, _ = _run(machine, tape, dims, power_tensor, power, steps)
     return [
         Check("compose-action", f"step={application * power}", agree[application])
         for application in range(1, steps + 1)
@@ -231,22 +235,14 @@ def type2_assoc_trial(
     ]
 
 
-def audit_nnz(
-    machine: Machine,
-    dims: Dims,
-    tensor: SparseTensor | None = None,
-    dropped: list[tuple[int, int, int]] | None = None,
-) -> Check:
+def audit_nnz(machine: Machine, dims: Dims, encoding: MachineEncoding | None = None) -> Check:
     """Check the closed-form count of transition-tensor entries.
 
     Inactive combinations contribute (N-1) * N * (m+1) * n entries, active
-    ones N * (m+1) * n minus the boundary drops.  Pass a ``tensor`` (and its
-    ``dropped`` list) to audit an existing encoding instead of a fresh one.
+    ones N * (m+1) * n minus the boundary drops.  Pass an ``encoding`` to audit
+    an existing one instead of a fresh one.
     """
-    if tensor is None or dropped is None:
-        built = encode_machine(machine, dims)
-        tensor = built.tensor if tensor is None else tensor
-        dropped = built.dropped if dropped is None else dropped
+    tensor, dropped = encoding if encoding is not None else encode_machine(machine, dims)
     cells, m, n = dims.cells, machine.m, machine.n
     expected = (cells - 1) * cells * (m + 1) * n + cells * (m + 1) * n - len(dropped)
     detail = f"expected={expected} actual={tensor.nnz} dropped={len(dropped)}"

@@ -1,4 +1,4 @@
-"""The two contraction products and the tensor-side evolution loop.
+"""The two contraction products and the plain evolution loop.
 
 The evolution product contracts a configuration tensor against a transition
 tensor and factors exactly into an outer product: a local factor over
@@ -7,15 +7,14 @@ product merges two transition tensors into one whose single application
 equals two successive applications of the operands; it is computed through
 per-upper-sequence local/global marginals of the left operand, never by
 expanding the full Einstein sum.  All arithmetic is exact integer arithmetic.
+Reading a tensor back as a machine configuration is left to ``encoding``.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
-from .encoding import decode_config, restrict_k_nonzero
-from .errors import DEFAULT_CAP, ArityMismatch, DimsMismatch, NotCharacteristic, ResourceLimit
+from .errors import DEFAULT_CAP, ArityMismatch, DimsMismatch, ResourceLimit
 from .tensor import Coord, Quad, SparseTensor
 
 PairMap = dict[tuple[int, int], int]
@@ -64,11 +63,16 @@ def factors(a: SparseTensor, b: SparseTensor) -> tuple[PairMap, PairMap]:
 
 
 def type1(a: SparseTensor, b: SparseTensor) -> SparseTensor:
-    """Evolution product: the outer product of the local and global factors.
+    """The evolution product: the outer product of the local and global factors.
 
-    The result entry at (i, j, k, l) is local(i, j) * global(k, l).
+    The result entry at (i, j, k, l) is local(i, j) * global(k, l).  Raises
+    ResourceLimit, before building it, when that is more than ``DEFAULT_CAP``
+    entries.
     """
     local, glob = factors(a, b)
+    size = len(local) * len(glob)
+    if size > DEFAULT_CAP:
+        raise ResourceLimit(f"evolution product would have {size} entries, cap is {DEFAULT_CAP}")
     entries = {
         ((i, j, k, l),): lv * gv
         for (i, j), lv in local.items()
@@ -172,32 +176,10 @@ def type2_power(b: SparseTensor, e: int, cap: int = DEFAULT_CAP) -> SparseTensor
     return result
 
 
-@dataclass
-class Evolution:
-    """Tensor trajectory A_1..A_{T+1} plus the first step lost to the window edge.
-
-    ``overflow_step`` is the step t at which a restricted characteristic tensor
-    evolved into one with no surviving entries (the active cell's successor was
-    dropped at the boundary), or None when that never happens.
-    """
-
-    tensors: list[SparseTensor]
-    overflow_step: int | None
-
-
-def evolve(a1: SparseTensor, b: SparseTensor, steps: int) -> Evolution:
-    """Iterate the evolution product ``steps`` times, watching for overflow."""
+def evolve(a1: SparseTensor, b: SparseTensor, steps: int) -> list[SparseTensor]:
+    """Iterate the evolution product ``steps`` times: the tensors A_1..A_{T+1}."""
     _check_type1_operands(a1, b)
     tensors = [a1]
-    overflow_step: int | None = None
-    for t in range(1, steps + 1):
-        nxt = type1(tensors[-1], b)
-        if overflow_step is None and restrict_k_nonzero(nxt).is_zero:
-            try:
-                decode_config(restrict_k_nonzero(tensors[-1]))
-            except NotCharacteristic:
-                pass
-            else:
-                overflow_step = t
-        tensors.append(nxt)
-    return Evolution(tensors, overflow_step)
+    for _ in range(steps):
+        tensors.append(type1(tensors[-1], b))
+    return tensors

@@ -120,8 +120,8 @@ def test_criterion_5_bookkeeping_noninterference(corpus):
     for name, machine, tape in corpus:
         dims = machine.dims(4)
         b = encode_machine(machine, dims).tensor
-        evolution = evolve(encode_config(initial_configuration(machine, tape, 4), dims), b, 5)
-        for t, a_t in enumerate(evolution.tensors, start=1):
+        tensors = evolve(encode_config(initial_configuration(machine, tape, 4), dims), b, 5)
+        for t, a_t in enumerate(tensors, start=1):
             if type1(a_t, b) != type1(restrict_k_nonzero(a_t), b):
                 failures.append((name, t))
     verdict(5, "bookkeeping-noninterference", not failures, "t <= 5, 3 machines" if not failures else str(failures))
@@ -150,7 +150,7 @@ def test_criterion_6_structural_audits(corpus):
     for name, machine, tape in corpus:
         dims = machine.dims(4)
         b = encode_machine(machine, dims).tensor
-        a2 = evolve(encode_config(initial_configuration(machine, tape, 4), dims), b, 1).tensors[1]
+        a2 = evolve(encode_config(initial_configuration(machine, tape, 4), dims), b, 1)[1]
         for tensor in (b, a2):
             text = tensor.to_text()
             if SparseTensor.from_text(text).to_text() != text:

@@ -133,6 +133,23 @@ def test_type1_operand_checks(m1):
         type1(SparseTensor.zero(dims, 0), SparseTensor.zero(dims, 0))
 
 
+def test_type1_refuses_an_outer_product_over_the_cap():
+    # One upper quad fans out to every (cell, symbol) and every (state, head):
+    # 9,199 entries of b whose factors would multiply out to 4,600 * 4,600 =
+    # 21,160,000 entries, over DEFAULT_CAP.
+    dims = Dims(2300, 2, 2)
+    upper = (1, 0, 1, 1)
+    lowers = {(i, j, 1, 1) for i in range(1, 2301) for j in range(2)}
+    lowers |= {(1, 0, k, l) for k in range(2) for l in range(1, 2301)}
+    b = SparseTensor(dims, 1, {(upper, lower): 1 for lower in lowers})
+    assert b.nnz == 9199
+    a = SparseTensor(dims, 0, {(upper,): 1})
+    local, glob = factors(a, b)
+    assert len(local) * len(glob) == 21_160_000
+    with pytest.raises(ResourceLimit, match="21160000 entries"):
+        type1(a, b)
+
+
 @pytest.mark.parametrize("p,seed", [(1, 0), (1, 1), (2, 2), (2, 3)])
 def test_type1_matches_brute_force(p, seed):
     a = random_tensor(DIMS, 0, density=0.4, value_bound=3, seed=seed)
@@ -234,30 +251,28 @@ def test_evolve_matches_oracle(m1):
     c1 = _initial(m1, ["1", "1"], 4)
     trace = oracle_run(m1, c1, 3)
     b = encode_machine(m1, dims).tensor
-    evolution = evolve(encode_config(c1, dims), b, 3)
-    assert evolution.overflow_step is None
-    assert len(evolution.tensors) == 4
+    tensors = evolve(encode_config(c1, dims), b, 3)
+    assert len(tensors) == 4
     for t, config in enumerate(trace.configs, start=1):
-        assert restrict_k_nonzero(evolution.tensors[t - 1]) == encode_config(config, dims)
+        assert restrict_k_nonzero(tensors[t - 1]) == encode_config(config, dims)
 
 
 def test_evolve_halted_start_is_stationary(m1):
     dims = m1.dims(4)
     halted = Configuration((1, 1, 1, 0), head=4, state=2)
     b = encode_machine(m1, dims).tensor
-    evolution = evolve(encode_config(halted, dims), b, 2)
-    r1 = restrict_k_nonzero(evolution.tensors[0])
-    assert restrict_k_nonzero(evolution.tensors[1]) == r1
-    assert restrict_k_nonzero(evolution.tensors[2]) == r1
+    tensors = evolve(encode_config(halted, dims), b, 2)
+    r1 = restrict_k_nonzero(tensors[0])
+    assert restrict_k_nonzero(tensors[1]) == r1
+    assert restrict_k_nonzero(tensors[2]) == r1
 
 
 def test_evolve_flags_overflow(m1):
     dims = m1.dims(4)
     edge = Configuration((1, 1, 1, 1), head=4, state=1)
     b = encode_machine(m1, dims).tensor
-    evolution = evolve(encode_config(edge, dims), b, 2)
-    assert evolution.overflow_step == 1
-    assert restrict_k_nonzero(evolution.tensors[1]).is_zero
+    tensors = evolve(encode_config(edge, dims), b, 2)
+    assert [restrict_k_nonzero(a_t).is_zero for a_t in tensors] == [False, True, True]
 
 
 def test_factor_shapes_on_characteristic_inputs(corpus):
@@ -285,8 +300,7 @@ def test_q0_entries_never_interfere(corpus):
     for name, machine, tape in corpus:
         dims = machine.dims(4)
         b = encode_machine(machine, dims).tensor
-        evolution = evolve(encode_config(_initial(machine, tape, 4), dims), b, 5)
-        for a_t in evolution.tensors:
+        for a_t in evolve(encode_config(_initial(machine, tape, 4), dims), b, 5):
             assert type1(a_t, b) == type1(restrict_k_nonzero(a_t), b), name
         for seed in range(3):  # arbitrary tensors, not just evolved ones
             a = random_tensor(dims, 0, density=0.3, value_bound=3, seed=seed)
