@@ -69,12 +69,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_evolve(args: argparse.Namespace) -> int:
     machine, tokens = _load(args)
-    dims = machine.dims(args.cells)
     initial = initial_configuration(machine, tokens or [], args.cells)
-    b, dropped = encode_machine(machine, dims)
+    b, dropped = encode_machine(machine, args.cells)
     if dropped:
         print(format_dropped(dropped), file=sys.stderr)
-    tensors = evolve(encode_config(initial, dims), b, args.steps)
+    tensors = evolve(encode_config(initial, b.dims), b, args.steps)
 
     # The first empty restriction is where the machine left the window.
     status = RunStatus.STEP_LIMIT
@@ -106,7 +105,8 @@ def cmd_evolve(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     machine, tokens = _load(args)
-    report = verify_evolution(machine, tokens or [], machine.dims(args.cells), args.steps)
+    b, _ = encode_machine(machine, args.cells)
+    report = verify_evolution(machine, tokens or [], b, args.steps)
     for line in report.lines():
         print(line)
     return 0 if report.passed else 1
@@ -114,15 +114,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_compose(args: argparse.Namespace) -> int:
     machine, tokens = _load(args)
-    dims = machine.dims(args.cells)
-    b, dropped = encode_machine(machine, dims)
+    b, dropped = encode_machine(machine, args.cells)
     if dropped:
         print(format_dropped(dropped), file=sys.stderr)
-    power = type2_power(b, args.power, cap=args.cap)
-    print(f"power={args.power} upper={power.upper_count} nnz={power.nnz}")
+    composed = type2_power(b, args.power, cap=args.cap)
+    print(f"power={args.power} upper={composed.upper_count} nnz={composed.nnz}")
     if tokens is None:
         return 0
-    return _print_checks(verify_power(machine, tokens, dims, power, args.power, args.steps))
+    return _print_checks(verify_power(machine, tokens, composed, args.power, args.steps))
 
 
 def cmd_assoc(args: argparse.Namespace) -> int:
@@ -163,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     machine_args = argparse.ArgumentParser(add_help=False)
     machine_args.add_argument("machine_file", help="machine description file")
     machine_args.add_argument("--tape", help='initial tape tokens, e.g. "1 1" (overrides the file)')
-    machine_args.add_argument("--cells", type=int, default=8, help="window size N (default 8)")
+    machine_args.add_argument("--cells", type=_count(1), default=8, help="window size N (default 8)")
 
     step_args = argparse.ArgumentParser(add_help=False)
     step_args.add_argument("--steps", type=_count(0), default=20, help="step budget T (default 20)")
@@ -190,15 +189,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "compose", parents=[machine_args], help="build a composition power and check its action"
     )
-    p.add_argument("--power", type=int, default=2, help="composition exponent (default 2)")
+    p.add_argument("--power", type=_count(1), default=2, help="composition exponent (default 2)")
     p.add_argument(
         "--steps", type=_count(1), default=1, help="applications to check against the simulator"
     )
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP, help="entry budget for composition")
+    p.add_argument("--cap", type=_count(0), default=DEFAULT_CAP, help="entry budget for composition")
     p.set_defaults(func=cmd_compose)
 
     p = sub.add_parser("assoc", help="run associativity trials on random tensors")
-    p.add_argument("--cells", type=int, default=2, help="window size N (default 2)")
+    p.add_argument("--cells", type=_count(1), default=2, help="window size N (default 2)")
     p.add_argument("--symbols", type=int, default=2, help="symbol count incl. blank (default 2)")
     p.add_argument("--states", type=int, default=1, help="real state count, excl. slot 0 (default 1)")
     p.add_argument("--p", type=int, default=1, help="upper count of the first tensor")
@@ -207,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=_count(1), default=20, help="number of seeded trials")
     p.add_argument("--seed", type=int, default=0, help="first seed")
     p.add_argument("--density", type=float, default=0.2, help="nonzero probability per coordinate")
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP, help="entry budget for composition")
+    p.add_argument("--cap", type=_count(0), default=DEFAULT_CAP, help="entry budget for composition")
     p.set_defaults(func=cmd_assoc)
 
     return parser

@@ -67,8 +67,9 @@ class MachineEncoding(NamedTuple):
     dropped: list[tuple[int, int, int]]  # (i1, j1, k1) of omitted active entries
 
 
-def encode_machine(machine: Machine, dims: Dims) -> MachineEncoding:
-    """Order-8 transition tensor plus the active entries lost at the window edge.
+def encode_machine(machine: Machine, cells: int) -> MachineEncoding:
+    """Order-8 transition tensor over a window of ``cells`` cells, plus the
+    active entries lost at the window edge; the machine fixes the other dims.
 
     Entry (i1 j1, k1 l1) -> (i2 j2, k2 l2) is 1 when either
       * the cell is inactive (k1 != 0, i1 != l1) and keeps its symbol while the
@@ -80,11 +81,7 @@ def encode_machine(machine: Machine, dims: Dims) -> MachineEncoding:
     anything, when the cells^2 * symbols * (states - 1) index combinations (a
     bound on the entries) exceed ``DEFAULT_CAP``.
     """
-    if dims.symbols != machine.m + 1:
-        raise DimsMismatch(f"dims carry {dims.symbols} symbols, machine has {machine.m + 1}")
-    if dims.states != machine.n + 1:
-        raise DimsMismatch(f"dims carry {dims.states} state slots, machine needs {machine.n + 1}")
-    cells = dims.cells
+    dims = machine.dims(cells)
     combinations = cells * cells * dims.symbols * (dims.states - 1)
     if combinations > DEFAULT_CAP:
         raise ResourceLimit(f"machine tensor has {combinations} index combinations, cap is {DEFAULT_CAP}")

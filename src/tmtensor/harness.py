@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 from random import Random
 
-from .encoding import MachineEncoding, encode_config, encode_machine, restrict_k_nonzero
+from .encoding import MachineEncoding, encode_config, restrict_k_nonzero
 from .errors import DEFAULT_CAP, ResourceLimit
 from .machine import Machine, RunStatus, Trace, initial_configuration, oracle_run
 from .products import evolve, type1, type2
@@ -83,7 +83,6 @@ def _first_difference(t1: SparseTensor, t2: SparseTensor) -> Coord | None:
 def _run(
     machine: Machine,
     tape: list[str] | tuple[str, ...],
-    dims: Dims,
     transition: SparseTensor,
     stride: int,
     applications: int,
@@ -94,6 +93,7 @@ def _run(
     simulator's configuration at trajectory index 1 + a * stride: held once
     halted, empty once off the window.  The last value is the first application
     whose restriction is empty (the tensor side's overflow), or None."""
+    dims = transition.dims
     initial = initial_configuration(machine, tape, dims.cells)
     trace = oracle_run(machine, initial, stride * applications)
     agree = []
@@ -139,17 +139,13 @@ class EvolutionReport:
 def verify_evolution(
     machine: Machine,
     tape: list[str] | tuple[str, ...],
-    dims: Dims,
+    transition: SparseTensor,
     steps: int,
-    b_override: SparseTensor | None = None,
 ) -> EvolutionReport:
-    """Check that restricting each evolved tensor re-encodes the simulator's
-    configuration at that step, with halting absorbed and overflow coinciding.
-
-    ``b_override`` substitutes the transition tensor (fault injection).
-    """
-    b = b_override if b_override is not None else encode_machine(machine, dims).tensor
-    trace, agree, overflow_step = _run(machine, tape, dims, b, 1, steps)
+    """Check that restricting each tensor evolved by ``transition`` re-encodes
+    the simulator's configuration at that step, with halting absorbed and
+    overflow coinciding."""
+    trace, agree, overflow_step = _run(machine, tape, transition, 1, steps)
 
     # Past an overflow the overflow step is compared instead of the tensors.
     if trace.status is RunStatus.OVERFLOW:
@@ -166,14 +162,13 @@ def verify_evolution(
 def verify_power(
     machine: Machine,
     tape: list[str] | tuple[str, ...],
-    dims: Dims,
-    power_tensor: SparseTensor,
+    transition: SparseTensor,
     power: int,
     steps: int,
 ) -> list[Check]:
-    """Check that each application of ``power_tensor`` advances the simulator
+    """Check that each application of ``transition`` advances the simulator
     ``power`` steps, absorbing once halted and empty once off the window."""
-    _, agree, _ = _run(machine, tape, dims, power_tensor, power, steps)
+    _, agree, _ = _run(machine, tape, transition, power, steps)
     return [
         Check("compose-action", f"step={application * power}", agree[application])
         for application in range(1, steps + 1)
@@ -235,15 +230,15 @@ def type2_assoc_trial(
     ]
 
 
-def audit_nnz(machine: Machine, dims: Dims, encoding: MachineEncoding | None = None) -> Check:
-    """Check the closed-form count of transition-tensor entries.
+def audit_nnz(machine: Machine, encoding: MachineEncoding) -> Check:
+    """Check the closed-form count of the entries of ``machine``'s encoding.
 
     Inactive combinations contribute (N-1) * N * (m+1) * n entries, active
-    ones N * (m+1) * n minus the boundary drops.  Pass an ``encoding`` to audit
-    an existing one instead of a fresh one.
+    ones N * (m+1) * n minus the boundary drops, for the window N of the
+    encoded tensor.
     """
-    tensor, dropped = encoding if encoding is not None else encode_machine(machine, dims)
-    cells, m, n = dims.cells, machine.m, machine.n
+    tensor, dropped = encoding
+    cells, m, n = tensor.dims.cells, machine.m, machine.n
     expected = (cells - 1) * cells * (m + 1) * n + cells * (m + 1) * n - len(dropped)
     detail = f"expected={expected} actual={tensor.nnz} dropped={len(dropped)}"
     return Check("nnz-audit", detail, tensor.nnz == expected)

@@ -34,12 +34,11 @@ class Machine:
     """A validated machine: names fix indices (states 1..n, symbols 0..m).
 
     ``delta`` is total on symbol x non-halt state and defined nowhere else;
-    its moves are strictly -1 or +1.  Symbol 0 is the blank.
+    its moves are strictly -1 or +1.  State 1 starts, symbol 0 is the blank.
     """
 
     states: tuple[str, ...]
     symbols: tuple[str, ...]
-    start_state: int
     halt_states: frozenset[int]
     input_symbols: frozenset[int]
     delta: dict[tuple[int, int], Rule]  # keyed (symbol j, state k)
@@ -240,7 +239,6 @@ def parse_document(text: str) -> MachineFile:
     machine = Machine(
         states=tuple(state_names),
         symbols=tuple(symbol_names),
-        start_state=start,
         halt_states=halt,
         input_symbols=input_symbols,
         delta=delta,
@@ -261,7 +259,7 @@ def machine_to_text(machine: Machine) -> str:
     input_names = " ".join(machine.symbol_name(j) for j in sorted(machine.input_symbols))
     lines = [
         "states: " + " ".join(machine.states),
-        "start: " + machine.state_name(machine.start_state),
+        "start: " + machine.states[0],
         "halt:" + (" " + halt_names if halt_names else ""),
         "symbols: " + " ".join(machine.symbols),
         "input:" + (" " + input_names if input_names else ""),
@@ -288,9 +286,9 @@ def _check_tape_tokens(machine: Machine, tokens: Sequence[str]) -> list[int]:
 
 
 def initial_configuration(machine: Machine, tape_tokens: Sequence[str], cells: int) -> Configuration:
-    """Lay the tokens into cells 1..k, blanks after; head on cell 1, start state."""
+    """Lay the tokens into cells 1..k, blanks after; head on cell 1, start state 1."""
     indices = _check_tape_tokens(machine, tape_tokens)
     if len(indices) > cells:
         raise MachineFormatError(f"tape needs {len(indices)} cells, window has {cells}")
     tape = tuple(indices) + (0,) * (cells - len(indices))
-    return Configuration(tape=tape, head=1, state=machine.start_state)
+    return Configuration(tape=tape, head=1, state=1)

@@ -177,9 +177,12 @@ def type2_power(b: SparseTensor, e: int, cap: int = DEFAULT_CAP) -> SparseTensor
 
 
 def evolve(a1: SparseTensor, b: SparseTensor, steps: int) -> list[SparseTensor]:
-    """Iterate the evolution product ``steps`` times: the tensors A_1..A_{T+1}."""
+    """Iterate the evolution product ``steps`` times: the tensors A_1..A_{T+1}.
+    Once a product equals the tensor it came from, equal inputs give equal
+    products from then on, so that tensor is repeated, not recomputed."""
     _check_type1_operands(a1, b)
     tensors = [a1]
     for _ in range(steps):
-        tensors.append(type1(tensors[-1], b))
+        fixed = len(tensors) > 1 and tensors[-1] == tensors[-2]
+        tensors.append(tensors[-1] if fixed else type1(tensors[-1], b))
     return tensors

@@ -101,6 +101,8 @@ class SparseTensor:
         upper_count: int,
         pairs: Iterable[tuple[Sequence[Sequence[int]], int]],
     ) -> SparseTensor:
+        if upper_count < 0:
+            raise ValueError(f"upper count must be >= 0, got {upper_count}")
         acc: dict[Coord, int] = {}
         for coord, value in pairs:
             if not isinstance(value, int):
@@ -108,10 +110,6 @@ class SparseTensor:
             key = _check_coord(dims, upper_count, coord)
             acc[key] = acc.get(key, 0) + value
         return cls(dims, upper_count, {c: v for c, v in acc.items() if v})
-
-    @classmethod
-    def zero(cls, dims: Dims, upper_count: int) -> SparseTensor:
-        return cls(dims, upper_count, {})
 
     def get(self, coord: Sequence[Sequence[int]]) -> int:
         return self.entries.get(_check_coord(self.dims, self.upper_count, coord), 0)

@@ -1,3 +1,4 @@
+import itertools
 from pathlib import Path
 
 import pytest
@@ -24,6 +25,16 @@ def machine_text(name: str) -> str:
 
 def machine_path(name: str) -> Path:
     return MACHINE_DIR / f"{name}.tm"
+
+
+def input_words(machine, cells):
+    """Every tape of at most ``cells`` input symbols, as --tape arguments."""
+    alphabet = [machine.symbol_name(j) for j in sorted(machine.input_symbols)]
+    return [
+        " ".join(word)
+        for length in range(cells + 1)
+        for word in itertools.product(alphabet, repeat=length)
+    ]
 
 
 @pytest.fixture(scope="session")

@@ -43,13 +43,13 @@ def test_criterion_1_evolution_equivalence(corpus):
     cases = 0
     for name, machine, tape in corpus:
         for cells in (4, 8):
-            report = verify_evolution(machine, tape, machine.dims(cells), 20)
+            report = verify_evolution(machine, tape, encode_machine(machine, cells).tensor, 20)
             cases += 1
             if not report.passed:
                 failures.append((name, cells))
     # window-overflow run: both sides must lose the machine at the same step
     m1 = corpus[0][1]
-    report = verify_evolution(m1, ["1", "1", "1", "1"], m1.dims(4), 20)
+    report = verify_evolution(m1, ["1", "1", "1", "1"], encode_machine(m1, 4).tensor, 20)
     cases += 1
     if not (report.passed and report.oracle_status is RunStatus.OVERFLOW):
         failures.append(("m1 overflow", 4))
@@ -79,7 +79,7 @@ def test_criterion_3_composition_semantics(corpus):
     for name, machine, tape in corpus:
         # squared tensor advances two steps at once
         dims = machine.dims(4)
-        b = encode_machine(machine, dims).tensor
+        b = encode_machine(machine, 4).tensor
         squared = type2_power(b, 2)
         trace = oracle_run(machine, initial_configuration(machine, tape, 4), 2)
         a1 = encode_config(trace.configs[0], dims)
@@ -90,7 +90,7 @@ def test_criterion_3_composition_semantics(corpus):
         # fourth power where the entry budget allows (window 2 keeps it small)
         dims2 = machine.dims(2)
         tape2 = ["0"] if name == "binary_increment" else []
-        b2 = encode_machine(machine, dims2).tensor
+        b2 = encode_machine(machine, 2).tensor
         try:
             fourth = type2_power(b2, 4)
         except ResourceLimit:
@@ -119,7 +119,7 @@ def test_criterion_5_bookkeeping_noninterference(corpus):
     failures = []
     for name, machine, tape in corpus:
         dims = machine.dims(4)
-        b = encode_machine(machine, dims).tensor
+        b = encode_machine(machine, 4).tensor
         tensors = evolve(encode_config(initial_configuration(machine, tape, 4), dims), b, 5)
         for t, a_t in enumerate(tensors, start=1):
             if type1(a_t, b) != type1(restrict_k_nonzero(a_t), b):
@@ -132,7 +132,7 @@ def test_criterion_6_structural_audits(corpus):
 
     for name, machine, _ in corpus:
         for cells in (2, 4, 8):
-            if not audit_nnz(machine, machine.dims(cells)).passed:
+            if not audit_nnz(machine, encode_machine(machine, cells)).passed:
                 failures.append(("nnz", name, cells))
 
     rng = Random(2024)
@@ -149,7 +149,7 @@ def test_criterion_6_structural_audits(corpus):
 
     for name, machine, tape in corpus:
         dims = machine.dims(4)
-        b = encode_machine(machine, dims).tensor
+        b = encode_machine(machine, 4).tensor
         a2 = evolve(encode_config(initial_configuration(machine, tape, 4), dims), b, 1)[1]
         for tensor in (b, a2):
             text = tensor.to_text()

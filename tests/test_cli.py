@@ -1,16 +1,15 @@
 import contextlib
 import io
-import itertools
 import os
 import shlex
 from pathlib import Path
 
 import pytest
 
-from tmtensor import Check, RunStatus, initial_configuration, oracle_run
+from tmtensor import Check, RunStatus, initial_configuration, oracle_run, type1
 from tmtensor.cli import main
 
-from conftest import machine_path, machine_text
+from conftest import input_words, machine_path, machine_text
 
 M1 = str(machine_path("m1_unary_append"))
 
@@ -76,16 +75,6 @@ def test_compose_reads_tape_line_from_file(tmp_path, capsys):
     ]
 
 
-def input_words(machine, cells):
-    """Every tape of at most ``cells`` input symbols, as --tape arguments."""
-    alphabet = [machine.symbol_name(j) for j in sorted(machine.input_symbols)]
-    return [
-        " ".join(word)
-        for length in range(cells + 1)
-        for word in itertools.product(alphabet, repeat=length)
-    ]
-
-
 def test_evolve_matches_simulate_byte_for_byte(capsys, corpus):
     # Every input word up to the window, so runs halt, overflow and hit the
     # step limit at every window from 2 to 5.
@@ -139,6 +128,22 @@ def test_evolve_dumps_round_trip(tmp_path, capsys):
     for name in ("B.tsv", "A_1.tsv", "A_3.tsv"):
         text = (tmp_path / name).read_text()
         assert SparseTensor.from_text(text).to_text() == text
+
+
+def test_evolve_stops_multiplying_at_its_fixed_point(capsys, monkeypatch):
+    # m1 halts at t=4 and A_6 equals A_5: five products are computed, not 60.
+    calls = []
+
+    def counted(a, b):
+        calls.append(1)
+        return type1(a, b)
+
+    monkeypatch.setattr("tmtensor.products.type1", counted)
+    args = ["--tape", "1 1", "--cells", "32", "--steps", "60"]
+    code, out, _ = run(capsys, "evolve", M1, *args)
+    assert code == 0
+    assert out[-1] == "status=halted"
+    assert len(calls) == 5
 
 
 def test_evolve_overflow_strict_exit(capsys):
@@ -199,7 +204,7 @@ def test_compose_power_one_is_the_machine_tensor(capsys, m1):
 
     code, out, _ = run(capsys, "compose", M1, "--cells", "4", "--power", "1")
     assert code == 0
-    nnz = encode_machine(m1, m1.dims(4)).tensor.nnz
+    nnz = encode_machine(m1, 4).tensor.nnz
     assert out == [f"power=1 upper=1 nnz={nnz}"]
 
 
@@ -283,6 +288,11 @@ def test_usage_error_exit_code(capsys):
         ["compose", M1, "--tape", "1", "--steps", "0"],
         ["assoc", "--trials", "-1"],
         ["assoc", "--trials", "two"],
+        ["simulate", M1, "--cells", "0"],
+        ["assoc", "--cells", "0"],
+        ["compose", M1, "--power", "0"],
+        ["assoc", "--cap", "-1", "--trials", "1"],
+        ["compose", M1, "--cells", "3", "--tape", "1", "--power", "1", "--cap", "-5"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)

@@ -22,28 +22,25 @@ BIG = Dims(3, 2, 3)     # window 3, symbols m=1, states n=2
 
 
 def test_verify_evolution_m1(m1):
-    report = verify_evolution(m1, ["1", "1"], m1.dims(4), 10)
+    report = verify_evolution(m1, ["1", "1"], encode_machine(m1, 4).tensor, 10)
     assert report.passed
     assert report.lines()[:11] == [f"t={t} agree=yes" for t in range(1, 12)]
     assert report.lines()[-1] == "CHECK evolution -> PASS"
 
 
 def test_verify_evolution_overflow_coincides(m1):
-    report = verify_evolution(m1, ["1", "1", "1", "1"], m1.dims(4), 10)
+    report = verify_evolution(m1, ["1", "1", "1", "1"], encode_machine(m1, 4).tensor, 10)
     assert report.passed
     assert report.oracle_status.value == "overflow"
     assert report.tensor_overflow_step == 4
 
 
 def test_verify_evolution_corrupted_b_names_the_step(m1):
-    dims = m1.dims(4)
-    b = encode_machine(m1, dims).tensor
+    b = encode_machine(m1, 4).tensor
     # drop one inactive-cell entry: cell 2 no longer carries its symbol forward
     broken = dict(b.entries)
     del broken[((2, 1, 1, 1), (2, 1, 0, 1))]
-    report = verify_evolution(
-        m1, ["1", "1"], dims, 10, b_override=SparseTensor(dims, 1, broken)
-    )
+    report = verify_evolution(m1, ["1", "1"], SparseTensor(b.dims, 1, broken), 10)
     assert not report.passed
     assert report.agree.index(False) == 1  # trajectory index 2
     assert report.lines()[:2] == ["t=1 agree=yes", "t=2 agree=no"]
@@ -56,28 +53,27 @@ def test_verify_evolution_corrupted_b_names_the_step(m1):
 
 
 def test_verify_evolution_zero_steps(m1):
-    report = verify_evolution(m1, ["1", "1"], m1.dims(4), 0)
+    report = verify_evolution(m1, ["1", "1"], encode_machine(m1, 4).tensor, 0)
     assert report.passed
     assert report.agree == [True]
 
 
 def test_verify_reports_are_deterministic(increment):
-    dims = increment.dims(4)
-    first = verify_evolution(increment, ["0", "1", "1"], dims, 12)
-    second = verify_evolution(increment, ["0", "1", "1"], dims, 12)
+    b = encode_machine(increment, 4).tensor
+    first = verify_evolution(increment, ["0", "1", "1"], b, 12)
+    second = verify_evolution(increment, ["0", "1", "1"], b, 12)
     assert first == second
 
 
 def test_verify_power(m1):
-    dims = m1.dims(4)
-    b = encode_machine(m1, dims).tensor
-    checks = verify_power(m1, ["1", "1"], dims, type2_power(b, 2), 2, 2)
+    b = encode_machine(m1, 4).tensor
+    checks = verify_power(m1, ["1", "1"], type2_power(b, 2), 2, 2)
     assert [check.line() for check in checks] == [
         "CHECK compose-action step=2 -> PASS",
         "CHECK compose-action step=4 -> PASS",
     ]
     # b advances one step per application, not the two claimed
-    wrong = verify_power(m1, ["1", "1"], dims, b, 2, 2)
+    wrong = verify_power(m1, ["1", "1"], b, 2, 2)
     assert wrong[0].line() == "CHECK compose-action step=2 -> FAIL"
 
 
@@ -222,18 +218,18 @@ def test_type2_assoc_trial_samples_the_action_when_composites_differ(
 def test_audit_nnz_corpus(corpus):
     for name, machine, _ in corpus:
         for cells in (2, 4, 8):
-            report = audit_nnz(machine, machine.dims(cells))
+            report = audit_nnz(machine, encode_machine(machine, cells))
             assert report.passed, (name, cells, report.line())
 
 
 def test_audit_nnz_m1_values(m1):
-    assert audit_nnz(m1, m1.dims(4)).line() == "CHECK nnz-audit expected=62 actual=62 dropped=2 -> PASS"
+    report = audit_nnz(m1, encode_machine(m1, 4))
+    assert report.line() == "CHECK nnz-audit expected=62 actual=62 dropped=2 -> PASS"
 
 
 def test_audit_nnz_fault_injection(m1):
-    dims = m1.dims(4)
-    tensor, dropped = encode_machine(m1, dims)
+    tensor, dropped = encode_machine(m1, 4)
     broken = dict(tensor.entries)
     broken.popitem()
-    report = audit_nnz(m1, dims, MachineEncoding(SparseTensor(dims, 1, broken), dropped))
+    report = audit_nnz(m1, MachineEncoding(SparseTensor(tensor.dims, 1, broken), dropped))
     assert report.line() == "CHECK nnz-audit expected=62 actual=61 dropped=2 -> FAIL"

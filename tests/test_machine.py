@@ -29,7 +29,6 @@ def test_parse_m1(m1):
     assert m1.states == ("q1", "q2")
     assert m1.symbols == ("_", "1")
     assert m1.n == 2 and m1.m == 1
-    assert m1.start_state == 1
     assert m1.halt_states == frozenset({2})
     assert m1.input_symbols == frozenset({1})
     assert m1.delta == {(1, 1): (1, 1, 1), (0, 1): (1, 2, 1)}

@@ -1,4 +1,5 @@
-"""Package-level checks: the module layering and the README's library example."""
+"""Package-level checks: the module layering, unused imports and the README's
+library example."""
 
 import ast
 import os
@@ -66,6 +67,44 @@ def test_modules_import_only_their_lower_layers():
     for name, path in sorted(modules.items()):
         extra = package_imports(path.read_text()) - LAYERS[name]
         assert not extra, f"{name} imports from {sorted(extra)}"
+
+
+def unused_imports(source):
+    """Names a module imports but never reads.  An alias on a line marked
+    ``# noqa: F401`` is kept on purpose and not reported."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                if "# noqa: F401" not in lines[alias.lineno - 1]:
+                    imported.add(alias.asname or alias.name.split(".")[0])
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - read)
+
+
+def test_unused_imports_reads_uses_and_noqa():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "from .tensor import Dims, Quad\n"
+        "from .products import (\n"
+        "    type1,  # noqa: F401\n"
+        "    type2,\n"
+        ")\n"
+        "def f(d: Dims) -> int:\n"
+        "    return os.path.sep\n"
+    )
+    assert unused_imports(source) == ["Quad", "type2"]
+
+
+def test_modules_import_no_unused_names():
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem != "__init__":
+            assert not unused_imports(path.read_text()), path.stem
 
 
 def test_readme_library_example_runs():

@@ -23,6 +23,8 @@ from tmtensor import (
 )
 from tmtensor.harness import random_tensor
 
+from conftest import input_words
+
 DIMS = Dims(2, 2, 2)
 
 
@@ -80,7 +82,7 @@ def brute_force_type2_order8(b, c):
 def test_factors_on_m1(m1):
     dims = m1.dims(4)
     a1 = encode_config(Configuration((1, 1, 0, 0), head=1, state=1), dims)
-    b = encode_machine(m1, dims).tensor
+    b = encode_machine(m1, 4).tensor
     assert factors(a1, b) == (
         {(1, 1): 1, (2, 1): 1, (3, 0): 1, (4, 0): 1},
         {(0, 1): 3, (1, 2): 1},
@@ -89,8 +91,8 @@ def test_factors_on_m1(m1):
 
 def test_factors_zero_configuration(m1):
     dims = m1.dims(4)
-    b = encode_machine(m1, dims).tensor
-    zero = SparseTensor.zero(dims, 0)
+    b = encode_machine(m1, 4).tensor
+    zero = SparseTensor(dims, 0, {})
     assert factors(zero, b) == ({}, {})
 
 
@@ -104,7 +106,7 @@ def test_type1_m1_worked_product(m1):
     dims = m1.dims(4)
     c1 = Configuration((1, 1, 0, 0), head=1, state=1)
     a1 = encode_config(c1, dims)
-    b = encode_machine(m1, dims).tensor
+    b = encode_machine(m1, 4).tensor
     a2 = type1(a1, b)
     cells = {(1, 1), (2, 1), (3, 0), (4, 0)}
     expected = {((i, j, 1, 2),): 1 for i, j in cells}
@@ -117,20 +119,20 @@ def test_type1_m1_worked_product(m1):
 
 def test_type1_zero_inputs(m1):
     dims = m1.dims(4)
-    b = encode_machine(m1, dims).tensor
-    assert type1(SparseTensor.zero(dims, 0), b).is_zero
-    assert type1(SparseTensor.zero(dims, 0), SparseTensor.zero(dims, 1)).is_zero
+    b = encode_machine(m1, 4).tensor
+    assert type1(SparseTensor(dims, 0, {}), b).is_zero
+    assert type1(SparseTensor(dims, 0, {}), SparseTensor(dims, 1, {})).is_zero
 
 
 def test_type1_operand_checks(m1):
     dims = m1.dims(4)
-    b = encode_machine(m1, dims).tensor
+    b = encode_machine(m1, 4).tensor
     with pytest.raises(DimsMismatch):
-        type1(SparseTensor.zero(Dims(3, 2, 3), 0), b)
+        type1(SparseTensor(Dims(3, 2, 3), 0, {}), b)
     with pytest.raises(ArityMismatch):
-        type1(SparseTensor.zero(dims, 1), b)
+        type1(SparseTensor(dims, 1, {}), b)
     with pytest.raises(ArityMismatch):
-        type1(SparseTensor.zero(dims, 0), SparseTensor.zero(dims, 0))
+        type1(SparseTensor(dims, 0, {}), SparseTensor(dims, 0, {}))
 
 
 def test_type1_refuses_an_outer_product_over_the_cap():
@@ -192,7 +194,7 @@ def test_type2_entrywise_associative_exhaustive():
 
 
 def test_type2_zero_operand():
-    zero = SparseTensor.zero(DIMS, 1)
+    zero = SparseTensor(DIMS, 1, {})
     c = random_tensor(DIMS, 1, density=0.2, value_bound=2, seed=5)
     assert type2(zero, c).is_zero
     assert type2(c, zero).is_zero
@@ -204,9 +206,9 @@ def test_type2_upper_count_bookkeeping():
     assert type2(b1, b2).upper_count == 4
     assert type2(b2, b1).upper_count == 4
     with pytest.raises(ArityMismatch):
-        type2(SparseTensor.zero(DIMS, 0), b1)
+        type2(SparseTensor(DIMS, 0, {}), b1)
     with pytest.raises(DimsMismatch):
-        type2(SparseTensor.zero(Dims(3, 2, 2), 1), b1)
+        type2(SparseTensor(Dims(3, 2, 2), 1, {}), b1)
 
 
 def test_type2_resource_limit():
@@ -216,8 +218,7 @@ def test_type2_resource_limit():
 
 
 def test_type2_power_base_cases(m1):
-    dims = m1.dims(4)
-    b = encode_machine(m1, dims).tensor
+    b = encode_machine(m1, 4).tensor
     assert type2_power(b, 1) == b
     assert type2_power(b, 2) == type2(b, b)
     assert type2_power(b, 2).upper_count == 2
@@ -232,7 +233,7 @@ def test_composition_advances_two_steps(corpus):
         dims = machine.dims(4)
         trace = oracle_run(machine, _initial(machine, tape, 4), 2)
         a1 = encode_config(trace.configs[0], dims)
-        b = encode_machine(machine, dims).tensor
+        b = encode_machine(machine, 4).tensor
         composed = restrict_k_nonzero(type1(a1, type2(b, b)))
         expected = encode_config(trace.configs[min(2, len(trace.configs) - 1)], dims)
         assert composed == expected, name
@@ -250,17 +251,31 @@ def test_evolve_matches_oracle(m1):
     dims = m1.dims(4)
     c1 = _initial(m1, ["1", "1"], 4)
     trace = oracle_run(m1, c1, 3)
-    b = encode_machine(m1, dims).tensor
+    b = encode_machine(m1, 4).tensor
     tensors = evolve(encode_config(c1, dims), b, 3)
     assert len(tensors) == 4
     for t, config in enumerate(trace.configs, start=1):
         assert restrict_k_nonzero(tensors[t - 1]) == encode_config(config, dims)
 
 
+def test_evolve_equals_the_plain_type1_iteration(corpus):
+    # Every input word up to the window, so runs halt, overflow and hit the
+    # step limit: evolve's fixed-point shortcut must not change an entry.
+    for name, machine, _ in corpus:
+        for cells in range(2, 6):
+            b = encode_machine(machine, cells).tensor
+            for tape in input_words(machine, cells):
+                a1 = encode_config(_initial(machine, tape.split(), cells), b.dims)
+                expected = [a1]
+                for _ in range(2 * cells + 2):
+                    expected.append(type1(expected[-1], b))
+                assert evolve(a1, b, 2 * cells + 2) == expected, (name, cells, tape)
+
+
 def test_evolve_halted_start_is_stationary(m1):
     dims = m1.dims(4)
     halted = Configuration((1, 1, 1, 0), head=4, state=2)
-    b = encode_machine(m1, dims).tensor
+    b = encode_machine(m1, 4).tensor
     tensors = evolve(encode_config(halted, dims), b, 2)
     r1 = restrict_k_nonzero(tensors[0])
     assert restrict_k_nonzero(tensors[1]) == r1
@@ -270,7 +285,7 @@ def test_evolve_halted_start_is_stationary(m1):
 def test_evolve_flags_overflow(m1):
     dims = m1.dims(4)
     edge = Configuration((1, 1, 1, 1), head=4, state=1)
-    b = encode_machine(m1, dims).tensor
+    b = encode_machine(m1, 4).tensor
     tensors = evolve(encode_config(edge, dims), b, 2)
     assert [restrict_k_nonzero(a_t).is_zero for a_t in tensors] == [False, True, True]
 
@@ -285,7 +300,7 @@ def test_factor_shapes_on_characteristic_inputs(corpus):
         rng_configs.extend((name, machine, c) for c in trace.configs)
     for name, machine, config in rng_configs:
         dims = machine.dims(4)
-        b = encode_machine(machine, dims).tensor
+        b = encode_machine(machine, 4).tensor
         a = encode_config(config, dims)
         local, glob = factors(a, b)
         assert sorted(i for i, _ in local) == [1, 2, 3, 4], name
@@ -299,7 +314,7 @@ def test_q0_entries_never_interfere(corpus):
     # parked on state slot 0 can never influence the product.
     for name, machine, tape in corpus:
         dims = machine.dims(4)
-        b = encode_machine(machine, dims).tensor
+        b = encode_machine(machine, 4).tensor
         for a_t in evolve(encode_config(_initial(machine, tape, 4), dims), b, 5):
             assert type1(a_t, b) == type1(restrict_k_nonzero(a_t), b), name
         for seed in range(3):  # arbitrary tensors, not just evolved ones

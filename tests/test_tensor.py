@@ -59,7 +59,7 @@ def test_from_entries_range_and_arity_errors():
 
 
 def test_get_zero_tensor():
-    assert SparseTensor.zero(DIMS, 0).get(X) == 0
+    assert SparseTensor(DIMS, 0, {}).get(X) == 0
 
 
 def test_get_arity_mismatch():
@@ -71,17 +71,17 @@ def test_get_arity_mismatch():
 def test_equality_is_shape_and_entries():
     t = SparseTensor.from_entries(DIMS, 0, [(X, 1)])
     assert t == t
-    assert SparseTensor.zero(DIMS, 0) == SparseTensor.zero(DIMS, 0)
+    assert SparseTensor(DIMS, 0, {}) == SparseTensor(DIMS, 0, {})
     assert t != SparseTensor.from_entries(DIMS, 0, [(X, 2)])
     # differing shape is inequality, not an error
-    assert SparseTensor.zero(DIMS, 0) != SparseTensor.zero(DIMS, 1)
-    assert SparseTensor.zero(DIMS, 0) != SparseTensor.zero(Dims(3, 2, 2), 0)
+    assert SparseTensor(DIMS, 0, {}) != SparseTensor(DIMS, 1, {})
+    assert SparseTensor(DIMS, 0, {}) != SparseTensor(Dims(3, 2, 2), 0, {})
 
 
 def test_order_tracks_upper_count():
-    assert SparseTensor.zero(DIMS, 0).order == 4
-    assert SparseTensor.zero(DIMS, 1).order == 8
-    assert SparseTensor.zero(DIMS, 2).order == 12
+    assert SparseTensor(DIMS, 0, {}).order == 4
+    assert SparseTensor(DIMS, 1, {}).order == 8
+    assert SparseTensor(DIMS, 2, {}).order == 12
 
 
 def test_dump_format_exact():
@@ -102,7 +102,7 @@ def test_dump_round_trip_byte_identical():
 
 
 def test_dump_round_trip_zero_tensor():
-    t = SparseTensor.zero(Dims(4, 2, 3), 0)
+    t = SparseTensor(Dims(4, 2, 3), 0, {})
     assert SparseTensor.from_text(t.to_text()) == t
 
 
@@ -113,6 +113,8 @@ def test_from_text_rejects_garbage():
         SparseTensor.from_text("not a header\n")
     with pytest.raises(ValueError):
         SparseTensor.from_text("dims 2 1 1  upper 0\n1 1 1 1\n")
+    with pytest.raises(ValueError):
+        SparseTensor.from_text("dims 2 1 1  upper -1\n")  # no order-0 tensors
 
 
 def test_from_text_rejects_duplicate_lines():
