@@ -32,7 +32,6 @@ from .errors import (
 )
 from .harness import (
     Check,
-    EvolutionReport,
     audit_nnz,
     mixed_assoc_trial,
     random_tensor,
@@ -89,7 +88,6 @@ __all__ = [
     "SparseTensor",
     "TMTensorError",
     "TensorError",
-    "EvolutionReport",
     "Trace",
     "UnknownToken",
     "audit_nnz",

@@ -106,10 +106,9 @@ def cmd_evolve(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     machine, tokens = _load(args)
     b, _ = encode_machine(machine, args.cells)
-    report = verify_evolution(machine, tokens or [], b, args.steps)
-    for line in report.lines():
-        print(line)
-    return 0 if report.passed else 1
+    lines, check = verify_evolution(machine, tokens or [], b, args.steps)
+    print("\n".join(lines))
+    return _print_checks([check])
 
 
 def cmd_compose(args: argparse.Namespace) -> int:
@@ -198,11 +197,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("assoc", help="run associativity trials on random tensors")
     p.add_argument("--cells", type=_count(1), default=2, help="window size N (default 2)")
-    p.add_argument("--symbols", type=int, default=2, help="symbol count incl. blank (default 2)")
-    p.add_argument("--states", type=int, default=1, help="real state count, excl. slot 0 (default 1)")
-    p.add_argument("--p", type=int, default=1, help="upper count of the first tensor")
-    p.add_argument("--q", type=int, default=1, help="upper count of the second tensor")
-    p.add_argument("--r", type=int, help="upper count of the third tensor (enables pure trials)")
+    p.add_argument("--symbols", type=_count(1), default=2, help="symbol count incl. blank (default 2)")
+    p.add_argument("--states", type=_count(1), default=1, help="real state count, excl. slot 0 (default 1)")
+    p.add_argument("--p", type=_count(1), default=1, help="upper count of the first tensor")
+    p.add_argument("--q", type=_count(1), default=1, help="upper count of the second tensor")
+    p.add_argument("--r", type=_count(1), help="upper count of the third tensor (enables pure trials)")
     p.add_argument("--trials", type=_count(1), default=20, help="number of seeded trials")
     p.add_argument("--seed", type=int, default=0, help="first seed")
     p.add_argument("--density", type=float, default=0.2, help="nonzero probability per coordinate")

@@ -90,50 +90,28 @@ def _run(
     """Simulate ``stride * applications`` steps and apply ``transition``
     ``applications`` times from the same initial configuration.  Entry a of the
     returned list says whether the tensor after a applications restricts to the
-    simulator's configuration at trajectory index 1 + a * stride: held once
-    halted, empty once off the window.  The last value is the first application
-    whose restriction is empty (the tensor side's overflow), or None."""
+    simulator's configuration at trajectory index 1 + a * stride.  The last
+    value is the first application whose restriction is empty (the tensor
+    side's overflow), or None."""
     dims = transition.dims
     initial = initial_configuration(machine, tape, dims.cells)
     trace = oracle_run(machine, initial, stride * applications)
-    agree = []
-    overflow: int | None = None
-    for a, a_t in enumerate(evolve(encode_config(initial, dims), transition, applications)):
-        t = 1 + a * stride
-        restricted = restrict_k_nonzero(a_t)
-        if overflow is None and restricted.is_zero:
-            overflow = a
-        if t <= len(trace.configs):
-            agree.append(restricted == encode_config(trace.configs[t - 1], dims))
-        elif trace.status is RunStatus.HALTED:
-            agree.append(restricted == encode_config(trace.configs[-1], dims))
-        else:
-            agree.append(restricted.is_zero)
+    # Indexed by trajectory position, clamped to the last: a halted run holds
+    # its last configuration, an overflowed run is empty off the window.
+    expected = [encode_config(config, dims) for config in trace.configs]
+    if trace.status is RunStatus.OVERFLOW:
+        expected.append(SparseTensor(dims, 0, {}))
+    # From its fixed point on, evolve repeats one tensor object: restrict
+    # each object once.
+    tensors = evolve(expected[0], transition, applications)
+    distinct = {id(a_t): a_t for a_t in tensors}
+    by_id = {key: restrict_k_nonzero(a_t) for key, a_t in distinct.items()}
+    restricted = [by_id[id(a_t)] for a_t in tensors]
+    agree = [
+        r == expected[min(a * stride, len(expected) - 1)] for a, r in enumerate(restricted)
+    ]
+    overflow = next((a for a, r in enumerate(restricted) if r.is_zero), None)
     return trace, agree, overflow
-
-
-@dataclass
-class EvolutionReport:
-    """Per-step comparison of the evolved restrictions against the simulator;
-    ``agree[t - 1]`` is the verdict at trajectory index t, and
-    ``tensor_overflow_step`` the first step whose restriction is empty."""
-
-    agree: list[bool]
-    oracle_status: RunStatus
-    tensor_overflow_step: int | None
-    overflow_agree: bool
-    passed: bool
-
-    def lines(self) -> list[str]:
-        out = [f"t={t} agree={'yes' if ok else 'no'}" for t, ok in enumerate(self.agree, start=1)]
-        oracle = "yes" if self.oracle_status is RunStatus.OVERFLOW else "no"
-        tensor = "no" if self.tensor_overflow_step is None else f"step {self.tensor_overflow_step}"
-        out.append(
-            f"overflow oracle={oracle} tensor={tensor} "
-            f"agree={'yes' if self.overflow_agree else 'no'}"
-        )
-        out.append(Check("evolution", "", self.passed).line())
-        return out
 
 
 def verify_evolution(
@@ -141,22 +119,27 @@ def verify_evolution(
     tape: list[str] | tuple[str, ...],
     transition: SparseTensor,
     steps: int,
-) -> EvolutionReport:
+) -> tuple[list[str], Check]:
     """Check that restricting each tensor evolved by ``transition`` re-encodes
     the simulator's configuration at that step, with halting absorbed and
-    overflow coinciding."""
+    overflow coinciding.  Returns one ``t=<t> agree=yes|no`` line per compared
+    step and an ``overflow`` line, then the verdict."""
     trace, agree, overflow_step = _run(machine, tape, transition, 1, steps)
 
     # Past an overflow the overflow step is compared instead of the tensors.
-    if trace.status is RunStatus.OVERFLOW:
-        last = len(trace.configs)
-        overflow_agree = overflow_step == last
+    oracle_overflow = trace.status is RunStatus.OVERFLOW
+    if oracle_overflow:
+        agree = agree[: len(trace.configs)]
+        overflow_agree = overflow_step == len(trace.configs)
     else:
-        last = steps + 1
         overflow_agree = overflow_step is None
-    agree = agree[:last]
-    passed = overflow_agree and all(agree)
-    return EvolutionReport(agree, trace.status, overflow_step, overflow_agree, passed)
+    lines = [f"t={t} agree={'yes' if ok else 'no'}" for t, ok in enumerate(agree, start=1)]
+    tensor = "no" if overflow_step is None else f"step {overflow_step}"
+    lines.append(
+        f"overflow oracle={'yes' if oracle_overflow else 'no'} tensor={tensor} "
+        f"agree={'yes' if overflow_agree else 'no'}"
+    )
+    return lines, Check("evolution", "", overflow_agree and all(agree))
 
 
 def verify_power(

@@ -293,6 +293,11 @@ def test_usage_error_exit_code(capsys):
         ["compose", M1, "--power", "0"],
         ["assoc", "--cap", "-1", "--trials", "1"],
         ["compose", M1, "--cells", "3", "--tape", "1", "--power", "1", "--cap", "-5"],
+        ["assoc", "--r", "0", "--trials", "1"],
+        ["assoc", "--p", "0", "--trials", "1"],
+        ["assoc", "--q", "-1", "--trials", "1"],
+        ["assoc", "--symbols", "0", "--trials", "1"],
+        ["assoc", "--states", "0", "--trials", "1"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)

@@ -15,11 +15,15 @@ from tmtensor import (
     Machine,
     RunStatus,
     audit_nnz,
+    encode_config,
     encode_machine,
+    evolve,
     initial_configuration,
     machine_to_text,
     oracle_run,
     parse_machine,
+    restrict_k_nonzero,
+    type1,
     type2_power,
     verify_evolution,
     verify_power,
@@ -88,9 +92,19 @@ def test_machine_text_round_trips(cases):
 def test_tensor_evolution_matches_the_simulator(cases):
     for machine, cells, tape, steps, _ in cases:
         encoding = encode_machine(machine, cells)
-        report = verify_evolution(machine, tape, encoding.tensor, steps)
-        assert report.passed, (machine_to_text(machine), cells, tape, report.lines())
+        lines, check = verify_evolution(machine, tape, encoding.tensor, steps)
+        assert check.passed, (machine_to_text(machine), cells, tape, lines)
         assert audit_nnz(machine, encoding).passed, (machine_to_text(machine), cells)
+
+
+def test_q0_entries_never_interfere(cases):
+    # Entries parked on state slot 0 never influence the evolution product,
+    # on generated machines as on the corpus (see test_products).
+    for machine, cells, tape, steps, _ in cases:
+        b = encode_machine(machine, cells).tensor
+        initial = encode_config(initial_configuration(machine, tape, cells), b.dims)
+        for a_t in evolve(initial, b, steps):
+            assert type1(a_t, b) == type1(restrict_k_nonzero(a_t), b), machine_to_text(machine)
 
 
 def test_squared_tensor_advances_two_steps(cases):

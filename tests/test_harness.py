@@ -7,9 +7,11 @@ from tmtensor import (
     ResourceLimit,
     SparseTensor,
     audit_nnz,
+    encode_config,
     encode_machine,
     mixed_assoc_trial,
     random_tensor,
+    restrict_k_nonzero,
     type1,
     type2_assoc_trial,
     type2_power,
@@ -22,17 +24,16 @@ BIG = Dims(3, 2, 3)     # window 3, symbols m=1, states n=2
 
 
 def test_verify_evolution_m1(m1):
-    report = verify_evolution(m1, ["1", "1"], encode_machine(m1, 4).tensor, 10)
-    assert report.passed
-    assert report.lines()[:11] == [f"t={t} agree=yes" for t in range(1, 12)]
-    assert report.lines()[-1] == "CHECK evolution -> PASS"
+    lines, check = verify_evolution(m1, ["1", "1"], encode_machine(m1, 4).tensor, 10)
+    assert check.passed
+    assert lines[:11] == [f"t={t} agree=yes" for t in range(1, 12)]
+    assert check.line() == "CHECK evolution -> PASS"
 
 
 def test_verify_evolution_overflow_coincides(m1):
-    report = verify_evolution(m1, ["1", "1", "1", "1"], encode_machine(m1, 4).tensor, 10)
-    assert report.passed
-    assert report.oracle_status.value == "overflow"
-    assert report.tensor_overflow_step == 4
+    lines, check = verify_evolution(m1, ["1", "1", "1", "1"], encode_machine(m1, 4).tensor, 10)
+    assert check.passed
+    assert lines[-1] == "overflow oracle=yes tensor=step 4 agree=yes"
 
 
 def test_verify_evolution_corrupted_b_names_the_step(m1):
@@ -40,22 +41,42 @@ def test_verify_evolution_corrupted_b_names_the_step(m1):
     # drop one inactive-cell entry: cell 2 no longer carries its symbol forward
     broken = dict(b.entries)
     del broken[((2, 1, 1, 1), (2, 1, 0, 1))]
-    report = verify_evolution(m1, ["1", "1"], SparseTensor(b.dims, 1, broken), 10)
-    assert not report.passed
-    assert report.agree.index(False) == 1  # trajectory index 2
-    assert report.lines()[:2] == ["t=1 agree=yes", "t=2 agree=no"]
+    lines, check = verify_evolution(m1, ["1", "1"], SparseTensor(b.dims, 1, broken), 10)
+    assert not check.passed
+    assert lines[:2] == ["t=1 agree=yes", "t=2 agree=no"]  # trajectory index 2
     # Step 2 leaves an empty restriction, even though the tensor it starts
     # from (t=2) is no longer a configuration.
-    assert report.lines()[-2:] == [
+    assert [lines[-1], check.line()] == [
         "overflow oracle=no tensor=step 2 agree=no",
         "CHECK evolution -> FAIL",
     ]
 
 
 def test_verify_evolution_zero_steps(m1):
-    report = verify_evolution(m1, ["1", "1"], encode_machine(m1, 4).tensor, 0)
-    assert report.passed
-    assert report.agree == [True]
+    lines, check = verify_evolution(m1, ["1", "1"], encode_machine(m1, 4).tensor, 0)
+    assert check.passed
+    assert lines == ["t=1 agree=yes", "overflow oracle=no tensor=no agree=yes"]
+
+
+def test_verify_evolution_reads_each_tensor_and_configuration_once(monkeypatch, m1):
+    # m1 halts after 3 steps; evolve returns 6 distinct tensor objects and
+    # repeats the last one from its fixed point on.
+    calls = {"restrict": 0, "encode": 0}
+
+    def counted(name, function):
+        def wrapper(*args):
+            calls[name] += 1
+            return function(*args)
+
+        return wrapper
+
+    monkeypatch.setattr("tmtensor.harness.restrict_k_nonzero", counted("restrict", restrict_k_nonzero))
+    monkeypatch.setattr("tmtensor.harness.encode_config", counted("encode", encode_config))
+    lines, check = verify_evolution(m1, ["1", "1"], encode_machine(m1, 32).tensor, 62)
+    assert check.passed and len(lines) == 64
+    # One restriction per distinct tensor, one encoding per simulator
+    # configuration (the first is also where evolve starts).
+    assert calls == {"restrict": 6, "encode": 4}
 
 
 def test_verify_reports_are_deterministic(increment):

@@ -120,3 +120,19 @@ def test_readme_library_example_runs():
         timeout=120,
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_all_lists_exactly_the_imported_names():
+    import tmtensor
+
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert set(tmtensor.__all__) == imported
+    assert len(tmtensor.__all__) == len(imported)
+    for name in tmtensor.__all__:
+        assert hasattr(tmtensor, name), name
