@@ -16,19 +16,10 @@ from .encoding import (
 )
 from .errors import (
     DEFAULT_CAP,
-    ArityMismatch,
-    DimsMismatch,
-    DuplicateName,
-    IncompleteDelta,
-    IndexOutOfRange,
     MachineFormatError,
-    MissingField,
-    NotCharacteristic,
-    ReservedName,
     ResourceLimit,
     TensorError,
     TMTensorError,
-    UnknownToken,
 )
 from .harness import (
     Check,
@@ -65,31 +56,22 @@ from .tensor import Coord, Dims, Quad, SparseTensor
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArityMismatch",
     "Check",
     "Configuration",
     "Coord",
     "DEFAULT_CAP",
-    "DimsMismatch",
     "Dims",
-    "DuplicateName",
-    "IncompleteDelta",
-    "IndexOutOfRange",
     "Machine",
     "MachineEncoding",
     "MachineFile",
     "MachineFormatError",
-    "MissingField",
-    "NotCharacteristic",
     "Quad",
-    "ReservedName",
     "ResourceLimit",
     "RunStatus",
     "SparseTensor",
     "TMTensorError",
     "TensorError",
     "Trace",
-    "UnknownToken",
     "audit_nnz",
     "decode_config",
     "encode_config",

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import DEFAULT_CAP, ArityMismatch, DimsMismatch, NotCharacteristic, ResourceLimit
+from .errors import DEFAULT_CAP, ResourceLimit, TensorError
 from .machine import Configuration, Machine, extend_delta
 from .tensor import Coord, Dims, SparseTensor
 
@@ -19,14 +19,14 @@ from .tensor import Coord, Dims, SparseTensor
 def encode_config(config: Configuration, dims: Dims) -> SparseTensor:
     """0-1 tensor with entry (i, tape[i], state, head) = 1 for every cell i."""
     if len(config.tape) != dims.cells:
-        raise DimsMismatch(f"tape has {len(config.tape)} cells, dims expect {dims.cells}")
+        raise TensorError(f"tape has {len(config.tape)} cells, dims expect {dims.cells}")
     if not 1 <= config.head <= dims.cells:
-        raise DimsMismatch(f"head {config.head} outside 1..{dims.cells}")
+        raise TensorError(f"head {config.head} outside 1..{dims.cells}")
     if not 1 <= config.state < dims.states:
-        raise DimsMismatch(f"state {config.state} outside 1..{dims.states - 1}")
+        raise TensorError(f"state {config.state} outside 1..{dims.states - 1}")
     for j in config.tape:
         if not 0 <= j < dims.symbols:
-            raise DimsMismatch(f"symbol index {j} outside 0..{dims.symbols - 1}")
+            raise TensorError(f"symbol index {j} outside 0..{dims.symbols - 1}")
     entries = {
         ((i, config.tape[i - 1], config.state, config.head),): 1
         for i in range(1, dims.cells + 1)
@@ -37,24 +37,24 @@ def encode_config(config: Configuration, dims: Dims) -> SparseTensor:
 def decode_config(a: SparseTensor) -> Configuration:
     """Inverse of :func:`encode_config`; rejects anything not of that shape."""
     if a.upper_count != 0:
-        raise ArityMismatch("only configuration tensors (upper count 0) decode")
+        raise TensorError("only configuration tensors (upper count 0) decode")
     cells = a.dims.cells
     if a.nnz != cells:
-        raise NotCharacteristic(f"expected {cells} entries, found {a.nnz}")
+        raise TensorError(f"expected {cells} entries, found {a.nnz}")
     symbol_at: dict[int, int] = {}
     state_head: tuple[int, int] | None = None
     for coord, value in a.entries.items():
         if value != 1:
-            raise NotCharacteristic(f"entry {coord} has value {value}, not 1")
+            raise TensorError(f"entry {coord} has value {value}, not 1")
         i, j, k, l = coord[0]
         if k == 0:
-            raise NotCharacteristic("an entry carries the bookkeeping state 0")
+            raise TensorError("an entry carries the bookkeeping state 0")
         if state_head is None:
             state_head = (k, l)
         elif state_head != (k, l):
-            raise NotCharacteristic("entries disagree on (state, head)")
+            raise TensorError("entries disagree on (state, head)")
         if i in symbol_at:
-            raise NotCharacteristic(f"cell {i} carries two symbols")
+            raise TensorError(f"cell {i} carries two symbols")
         symbol_at[i] = j
     assert state_head is not None
     # nnz == cells with distinct cell indices covers every cell exactly once.
@@ -106,7 +106,7 @@ def encode_machine(machine: Machine, cells: int) -> MachineEncoding:
 def restrict_k_nonzero(a: SparseTensor) -> SparseTensor:
     """Delete every entry whose state index is 0, keeping all others intact."""
     if a.upper_count != 0:
-        raise ArityMismatch("restriction applies to configuration tensors (upper count 0)")
+        raise TensorError("restriction applies to configuration tensors (upper count 0)")
     kept = {coord: value for coord, value in a.entries.items() if coord[0][2] != 0}
     return SparseTensor(a.dims, 0, kept)
 

@@ -11,47 +11,15 @@ class TMTensorError(Exception):
 
 
 class MachineFormatError(TMTensorError):
-    """A machine description violates the file format or a machine invariant."""
-
-
-class MissingField(MachineFormatError):
-    """A required header line (states/start/halt/symbols) is absent."""
-
-
-class ReservedName(MachineFormatError):
-    """The reserved state name "q0" was declared."""
-
-
-class DuplicateName(MachineFormatError):
-    """A state, symbol, or transition rule was declared twice."""
-
-
-class IncompleteDelta(MachineFormatError):
-    """Some (symbol, non-halt state) pair has no transition rule."""
-
-
-class UnknownToken(MachineFormatError):
-    """A token does not resolve to a known name, directive, or move."""
+    """A machine file or a tape is malformed: a missing, duplicate or reserved
+    name, an unknown token, a misplaced move, or an incomplete transition
+    function."""
 
 
 class TensorError(TMTensorError):
-    """Base class for tensor construction and access errors."""
-
-
-class IndexOutOfRange(TensorError):
-    """A quad component lies outside the bounds fixed by Dims."""
-
-
-class ArityMismatch(TensorError):
-    """A coordinate has the wrong number of quads for the tensor's shape."""
-
-
-class DimsMismatch(TensorError):
-    """Operands or arguments disagree on their index bounds."""
-
-
-class NotCharacteristic(TensorError):
-    """A tensor is not the characteristic encoding of any configuration."""
+    """A tensor operand, coordinate or encoding is invalid: a quad off its
+    bounds, the wrong number of quads, operands that disagree on dims, or a
+    tensor that encodes no configuration."""
 
 
 class ResourceLimit(TMTensorError):

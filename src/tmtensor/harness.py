@@ -96,20 +96,23 @@ def _run(
     dims = transition.dims
     initial = initial_configuration(machine, tape, dims.cells)
     trace = oracle_run(machine, initial, stride * applications)
-    # Indexed by trajectory position, clamped to the last: a halted run holds
-    # its last configuration, an overflowed run is empty off the window.
-    expected = [encode_config(config, dims) for config in trace.configs]
-    if trace.status is RunStatus.OVERFLOW:
-        expected.append(SparseTensor(dims, 0, {}))
+    # Application a is compared with trajectory position a * stride, clamped
+    # to the last: a halted run holds its last configuration, an overflowed
+    # run is empty off the window.  Only the compared positions are encoded.
+    last = len(trace.configs) - (trace.status is not RunStatus.OVERFLOW)
+    positions = [min(a * stride, last) for a in range(applications + 1)]
+    empty = SparseTensor(dims, 0, {})
+    expected = {
+        p: encode_config(trace.configs[p], dims) if p < len(trace.configs) else empty
+        for p in set(positions)
+    }
     # From its fixed point on, evolve repeats one tensor object: restrict
     # each object once.
     tensors = evolve(expected[0], transition, applications)
     distinct = {id(a_t): a_t for a_t in tensors}
     by_id = {key: restrict_k_nonzero(a_t) for key, a_t in distinct.items()}
     restricted = [by_id[id(a_t)] for a_t in tensors]
-    agree = [
-        r == expected[min(a * stride, len(expected) - 1)] for a, r in enumerate(restricted)
-    ]
+    agree = [r == expected[p] for p, r in zip(positions, restricted)]
     overflow = next((a for a, r in enumerate(restricted) if r.is_zero), None)
     return trace, agree, overflow
 

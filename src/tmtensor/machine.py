@@ -12,14 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Sequence
 
-from .errors import (
-    DuplicateName,
-    IncompleteDelta,
-    MachineFormatError,
-    MissingField,
-    ReservedName,
-    UnknownToken,
-)
+from .errors import MachineFormatError
 from .tensor import Dims
 
 RESERVED_STATE = "q0"
@@ -150,7 +143,7 @@ def parse_document(text: str) -> MachineFile:
         key, sep, rest = line.partition(":")
         key = key.strip()
         if not sep:
-            raise UnknownToken(f"line {lineno}: expected '<field>: ...', got {raw!r}")
+            raise MachineFormatError(f"line {lineno}: expected '<field>: ...', got {raw!r}")
         if key == "delta":
             rules.append((lineno, rest.split()))
         elif key in _HEADERS:
@@ -158,31 +151,31 @@ def parse_document(text: str) -> MachineFile:
                 raise MachineFormatError(f"line {lineno}: duplicate '{key}:' line")
             fields[key] = rest.split()
         else:
-            raise UnknownToken(f"line {lineno}: unknown field {key!r}")
+            raise MachineFormatError(f"line {lineno}: unknown field {key!r}")
 
     for required in ("states", "start", "halt", "symbols"):
         if required not in fields:
-            raise MissingField(f"missing '{required}:' line")
+            raise MachineFormatError(f"missing '{required}:' line")
 
     state_names = fields["states"]
     if not state_names:
-        raise MissingField("'states:' lists no states")
+        raise MachineFormatError("'states:' lists no states")
     if RESERVED_STATE in state_names:
-        raise ReservedName(f"state name {RESERVED_STATE!r} is reserved")
+        raise MachineFormatError(f"state name {RESERVED_STATE!r} is reserved")
     if len(set(state_names)) != len(state_names):
-        raise DuplicateName("duplicate state name")
+        raise MachineFormatError("duplicate state name")
     symbol_names = fields["symbols"]
     if not symbol_names:
-        raise MissingField("'symbols:' lists no symbols (the first is the blank)")
+        raise MachineFormatError("'symbols:' lists no symbols (the first is the blank)")
     if len(set(symbol_names)) != len(symbol_names):
-        raise DuplicateName("duplicate symbol name")
+        raise MachineFormatError("duplicate symbol name")
 
     state_of = {name: idx for idx, name in enumerate(state_names, start=1)}
     symbol_of = {name: idx for idx, name in enumerate(symbol_names)}
 
     def lookup(table: dict[str, int], token: str, kind: str) -> int:
         if token not in table:
-            raise UnknownToken(f"unknown {kind} {token!r}")
+            raise MachineFormatError(f"unknown {kind} {token!r}")
         return table[token]
 
     if len(fields["start"]) != 1:
@@ -203,7 +196,7 @@ def parse_document(text: str) -> MachineFile:
     delta: dict[tuple[int, int], Rule] = {}
     for lineno, tokens in rules:
         if len(tokens) != 6 or tokens[2] != "->":
-            raise UnknownToken(
+            raise MachineFormatError(
                 f"line {lineno}: rule must read '<state> <symbol> -> <state> <symbol> <L|R|S>'"
             )
         src_state = lookup(state_of, tokens[0], "state")
@@ -211,7 +204,7 @@ def parse_document(text: str) -> MachineFile:
         dst_state = lookup(state_of, tokens[3], "state")
         dst_symbol = lookup(symbol_of, tokens[4], "symbol")
         if tokens[5] not in _MOVES:
-            raise UnknownToken(f"line {lineno}: move must be L, R, or S, got {tokens[5]!r}")
+            raise MachineFormatError(f"line {lineno}: move must be L, R, or S, got {tokens[5]!r}")
         move = _MOVES[tokens[5]]
         if src_state in halt:
             # Documentation row only; must restate the absorbing behaviour.
@@ -222,9 +215,9 @@ def parse_document(text: str) -> MachineFile:
                 )
             continue
         if move == 0:
-            raise UnknownToken(f"line {lineno}: move 'S' is only allowed on halt-state rows")
+            raise MachineFormatError(f"line {lineno}: move 'S' is only allowed on halt-state rows")
         if (src_symbol, src_state) in delta:
-            raise DuplicateName(f"line {lineno}: duplicate rule for ({tokens[0]}, {tokens[1]})")
+            raise MachineFormatError(f"line {lineno}: duplicate rule for ({tokens[0]}, {tokens[1]})")
         delta[(src_symbol, src_state)] = (dst_symbol, dst_state, move)
 
     for k in range(1, len(state_names) + 1):
@@ -232,7 +225,7 @@ def parse_document(text: str) -> MachineFile:
             continue
         for j in range(len(symbol_names)):
             if (j, k) not in delta:
-                raise IncompleteDelta(
+                raise MachineFormatError(
                     f"no rule for state {state_names[k - 1]!r} reading {symbol_names[j]!r}"
                 )
 
@@ -277,10 +270,10 @@ def _check_tape_tokens(machine: Machine, tokens: Sequence[str]) -> list[int]:
     indices = []
     for token in tokens:
         if token not in machine.symbols:
-            raise UnknownToken(f"unknown tape symbol {token!r}")
+            raise MachineFormatError(f"unknown tape symbol {token!r}")
         j = machine.symbols.index(token)
         if j not in machine.input_symbols:
-            raise UnknownToken(f"tape symbol {token!r} is not in the input alphabet")
+            raise MachineFormatError(f"tape symbol {token!r} is not in the input alphabet")
         indices.append(j)
     return indices
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 
-from .errors import DEFAULT_CAP, ArityMismatch, DimsMismatch, ResourceLimit
+from .errors import DEFAULT_CAP, ResourceLimit, TensorError
 from .tensor import Coord, Quad, SparseTensor
 
 PairMap = dict[tuple[int, int], int]
@@ -22,11 +22,11 @@ PairMap = dict[tuple[int, int], int]
 
 def _check_type1_operands(a: SparseTensor, b: SparseTensor) -> None:
     if a.dims != b.dims:
-        raise DimsMismatch(f"operands disagree on dims: {a.dims} vs {b.dims}")
+        raise TensorError(f"operands disagree on dims: {a.dims} vs {b.dims}")
     if a.upper_count != 0:
-        raise ArityMismatch("left operand must be a configuration tensor (upper count 0)")
+        raise TensorError("left operand must be a configuration tensor (upper count 0)")
     if b.upper_count < 1:
-        raise ArityMismatch("right operand must be a transition tensor (upper count >= 1)")
+        raise TensorError("right operand must be a transition tensor (upper count >= 1)")
 
 
 def _upper_weight(a: SparseTensor, coord: Coord) -> int:
@@ -105,9 +105,9 @@ def type2(b: SparseTensor, c: SparseTensor, cap: int = DEFAULT_CAP) -> SparseTen
     the upper group, U before V.
     """
     if b.dims != c.dims:
-        raise DimsMismatch(f"operands disagree on dims: {b.dims} vs {c.dims}")
+        raise TensorError(f"operands disagree on dims: {b.dims} vs {c.dims}")
     if b.upper_count < 1 or c.upper_count < 1:
-        raise ArityMismatch("both operands must be transition tensors (upper count >= 1)")
+        raise TensorError("both operands must be transition tensors (upper count >= 1)")
 
     local_margin: dict[tuple[Coord, tuple[int, int]], int] = {}
     global_margin: dict[tuple[Coord, tuple[int, int]], int] = {}

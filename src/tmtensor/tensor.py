@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .errors import ArityMismatch, IndexOutOfRange
+from .errors import TensorError
 
 Quad = tuple[int, int, int, int]
 Coord = tuple[Quad, ...]
@@ -63,16 +63,16 @@ class Dims:
 def _check_coord(dims: Dims, upper_count: int, coord: Sequence[Sequence[int]]) -> Coord:
     """Normalize a coordinate to nested tuples, checking arity and ranges."""
     if len(coord) != upper_count + 1:
-        raise ArityMismatch(
+        raise TensorError(
             f"coordinate has {len(coord)} quads, tensor needs {upper_count + 1}"
         )
     quads = []
     for group in coord:
         quad = tuple(group)
         if len(quad) != 4:
-            raise ArityMismatch(f"index group {quad!r} does not have 4 components")
+            raise TensorError(f"index group {quad!r} does not have 4 components")
         if not dims.contains(quad):
-            raise IndexOutOfRange(f"quad {quad!r} is outside {dims}")
+            raise TensorError(f"quad {quad!r} is outside {dims}")
         quads.append(quad)
     return tuple(quads)
 

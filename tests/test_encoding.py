@@ -3,12 +3,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tmtensor import (
-    ArityMismatch,
     Configuration,
     Dims,
-    DimsMismatch,
-    NotCharacteristic,
     SparseTensor,
+    TensorError,
     decode_config,
     encode_config,
     encode_machine,
@@ -74,39 +72,39 @@ def test_encode_config_all_blank():
 
 def test_encode_config_dims_mismatch():
     dims = Dims(2, 2, 2)
-    with pytest.raises(DimsMismatch):
+    with pytest.raises(TensorError, match="tape has 3 cells"):
         encode_config(Configuration((0, 0, 0), head=1, state=1), dims)
-    with pytest.raises(DimsMismatch):
+    with pytest.raises(TensorError, match="head 3 outside"):
         encode_config(Configuration((0, 0), head=3, state=1), dims)
-    with pytest.raises(DimsMismatch):
+    with pytest.raises(TensorError, match="state 2 outside"):
         encode_config(Configuration((0, 0), head=1, state=2), dims)
-    with pytest.raises(DimsMismatch):
+    with pytest.raises(TensorError, match="symbol index 3 outside"):
         encode_config(Configuration((0, 3), head=1, state=1), dims)
-    with pytest.raises(DimsMismatch):
+    with pytest.raises(TensorError, match="state 0 outside"):
         encode_config(Configuration((0, 0), head=1, state=0), dims)
 
 
 def test_decode_rejects_non_characteristic():
     dims = Dims(2, 2, 2)
-    with pytest.raises(NotCharacteristic):
+    with pytest.raises(TensorError, match="expected 2 entries, found 0"):
         decode_config(SparseTensor(dims, 0, {}))
     # two head positions
     bad = SparseTensor.from_entries(dims, 0, [(((1, 0, 1, 1),), 1), (((2, 0, 1, 2),), 1)])
-    with pytest.raises(NotCharacteristic):
+    with pytest.raises(TensorError, match="entries disagree on"):
         decode_config(bad)
     # doubled cell
     bad = SparseTensor.from_entries(dims, 0, [(((1, 0, 1, 1),), 1), (((1, 1, 1, 1),), 1)])
-    with pytest.raises(NotCharacteristic):
+    with pytest.raises(TensorError, match="two symbols"):
         decode_config(bad)
     # non-unit value
     bad = SparseTensor.from_entries(dims, 0, [(((1, 0, 1, 1),), 2), (((2, 0, 1, 1),), 1)])
-    with pytest.raises(NotCharacteristic):
+    with pytest.raises(TensorError, match="has value 2, not 1"):
         decode_config(bad)
     # bookkeeping state in an entry
     bad = SparseTensor.from_entries(dims, 0, [(((1, 0, 0, 1),), 1), (((2, 0, 0, 1),), 1)])
-    with pytest.raises(NotCharacteristic):
+    with pytest.raises(TensorError, match="bookkeeping state 0"):
         decode_config(bad)
-    with pytest.raises(ArityMismatch):
+    with pytest.raises(TensorError, match="only configuration tensors"):
         decode_config(SparseTensor(dims, 1, {}))
 
 
@@ -193,5 +191,5 @@ def test_restrict_k_nonzero():
     zero = SparseTensor(dims, 0, {})
     assert restrict_k_nonzero(zero) == zero
 
-    with pytest.raises(ArityMismatch):
+    with pytest.raises(TensorError, match="applies to configuration tensors"):
         restrict_k_nonzero(SparseTensor(dims, 1, {}))

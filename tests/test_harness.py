@@ -74,7 +74,7 @@ def test_verify_evolution_reads_each_tensor_and_configuration_once(monkeypatch, 
     monkeypatch.setattr("tmtensor.harness.encode_config", counted("encode", encode_config))
     lines, check = verify_evolution(m1, ["1", "1"], encode_machine(m1, 32).tensor, 62)
     assert check.passed and len(lines) == 64
-    # One restriction per distinct tensor, one encoding per simulator
+    # One restriction per distinct tensor, one encoding per compared
     # configuration (the first is also where evolve starts).
     assert calls == {"restrict": 6, "encode": 4}
 
@@ -96,6 +96,22 @@ def test_verify_power(m1):
     # b advances one step per application, not the two claimed
     wrong = verify_power(m1, ["1", "1"], b, 2, 2)
     assert wrong[0].line() == "CHECK compose-action step=2 -> FAIL"
+
+
+def test_verify_power_encodes_only_the_compared_configurations(monkeypatch, bouncer):
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return encode_config(*args)
+
+    two_steps = type2_power(encode_machine(bouncer, 4).tensor, 2)
+    monkeypatch.setattr("tmtensor.harness.encode_config", counted)
+    checks = verify_power(bouncer, [], two_steps, 2, 3)
+    assert all(check.passed for check in checks)
+    # Steps 0, 2, 4 and 6 of the six simulated are compared.
+    assert calls == 4
 
 
 def test_random_tensor_density_one_fills_the_space():

@@ -1,5 +1,5 @@
-"""Package-level checks: the module layering, unused imports and the README's
-library example."""
+"""Package-level checks: the module layering, unused imports, the exceptions
+the CLI catches and the README's library example."""
 
 import ast
 import os
@@ -136,3 +136,52 @@ def test_all_lists_exactly_the_imported_names():
     assert len(tmtensor.__all__) == len(imported)
     for name in tmtensor.__all__:
         assert hasattr(tmtensor, name), name
+
+
+# Raised outside `cli.main`'s handlers on purpose: `from_entries` refuses a
+# non-integer scalar, which only a library caller can pass; argparse turns an
+# ArgumentTypeError into exit 2; SystemExit ends the `__main__` block.
+UNCAUGHT_ON_PURPOSE = {
+    ("tensor", "TypeError"),
+    ("cli", "argparse.ArgumentTypeError"),
+    ("cli", "SystemExit"),
+}
+
+
+def raised_names(source):
+    """The exceptions a module's ``raise`` statements name, sorted; a bare
+    re-raise names nothing and is skipped."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            names.append(ast.unparse(exc))
+    return sorted(names)
+
+
+def test_raised_names_reads_every_raise_form():
+    source = (
+        "def f(x):\n"
+        "    if x:\n"
+        "        raise ValueError('x')\n"
+        "    try:\n"
+        "        raise argparse.ArgumentTypeError('y')\n"
+        "    except OSError:\n"
+        "        raise\n"
+        "    raise SystemExit\n"
+    )
+    assert raised_names(source) == ["SystemExit", "ValueError", "argparse.ArgumentTypeError"]
+
+
+def test_cli_main_catches_every_raised_exception():
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    main = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "main")
+    caught = set()
+    handlers = [h for node in ast.walk(main) if isinstance(node, ast.Try) for h in node.handlers]
+    for handler in handlers:
+        types = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+        caught.update(ast.unparse(t) for t in types)
+    assert {"ResourceLimit", "MachineFormatError", "TensorError", "ValueError"} <= caught
+    for path in sorted(PACKAGE.glob("*.py")):
+        for name in raised_names(path.read_text()):
+            assert name in caught or (path.stem, name) in UNCAUGHT_ON_PURPOSE, (path.stem, name)

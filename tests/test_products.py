@@ -5,12 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tmtensor import (
-    ArityMismatch,
     Configuration,
     Dims,
-    DimsMismatch,
     ResourceLimit,
     SparseTensor,
+    TensorError,
     encode_config,
     encode_machine,
     evolve,
@@ -127,11 +126,11 @@ def test_type1_zero_inputs(m1):
 def test_type1_operand_checks(m1):
     dims = m1.dims(4)
     b = encode_machine(m1, 4).tensor
-    with pytest.raises(DimsMismatch):
+    with pytest.raises(TensorError, match="operands disagree on dims"):
         type1(SparseTensor(Dims(3, 2, 3), 0, {}), b)
-    with pytest.raises(ArityMismatch):
+    with pytest.raises(TensorError, match="left operand must be a configuration tensor"):
         type1(SparseTensor(dims, 1, {}), b)
-    with pytest.raises(ArityMismatch):
+    with pytest.raises(TensorError, match="right operand must be a transition tensor"):
         type1(SparseTensor(dims, 0, {}), SparseTensor(dims, 0, {}))
 
 
@@ -205,9 +204,9 @@ def test_type2_upper_count_bookkeeping():
     b2 = random_tensor(DIMS, 2, density=0.05, value_bound=2, seed=2)
     assert type2(b1, b2).upper_count == 4
     assert type2(b2, b1).upper_count == 4
-    with pytest.raises(ArityMismatch):
+    with pytest.raises(TensorError, match="both operands must be transition tensors"):
         type2(SparseTensor(DIMS, 0, {}), b1)
-    with pytest.raises(DimsMismatch):
+    with pytest.raises(TensorError, match="operands disagree on dims"):
         type2(SparseTensor(Dims(3, 2, 2), 1, {}), b1)
 
 

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tmtensor import ArityMismatch, Dims, IndexOutOfRange, SparseTensor
+from tmtensor import Dims, SparseTensor, TensorError
 
 DIMS = Dims(cells=2, symbols=2, states=2)
 
@@ -48,13 +48,13 @@ def test_from_entries_rejects_floats():
 
 
 def test_from_entries_range_and_arity_errors():
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(TensorError, match="is outside"):
         SparseTensor.from_entries(DIMS, 0, [(((3, 0, 0, 1),), 1)])
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(TensorError, match="is outside"):
         SparseTensor.from_entries(DIMS, 0, [(((1, 2, 0, 1),), 1)])
-    with pytest.raises(ArityMismatch):
+    with pytest.raises(TensorError, match="coordinate has 2 quads"):
         SparseTensor.from_entries(DIMS, 0, [((X[0], X[0]), 1)])
-    with pytest.raises(ArityMismatch):
+    with pytest.raises(TensorError, match="does not have 4 components"):
         SparseTensor.from_entries(DIMS, 0, [(((1, 1, 1),), 1)])
 
 
@@ -64,7 +64,7 @@ def test_get_zero_tensor():
 
 def test_get_arity_mismatch():
     t = SparseTensor.from_entries(DIMS, 0, [(X, 1)])
-    with pytest.raises(ArityMismatch):
+    with pytest.raises(TensorError, match="coordinate has 2 quads"):
         t.get((X[0], Y[0]))
 
 
