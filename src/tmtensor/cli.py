@@ -18,7 +18,7 @@ from .encoding import (
     format_dropped,
     restrict_k_nonzero,
 )
-from .errors import MachineFormatError, ResourceLimit, TensorError
+from .errors import DEFAULT_CAP, MachineFormatError, ResourceLimit, TensorError
 from .harness import Check, mixed_assoc_trial, type2_assoc_trial, verify_evolution, verify_power
 from .machine import (
     Configuration,
@@ -30,7 +30,7 @@ from .machine import (
 )
 # type1 stays bound here although no command calls it: perfbench's tracer test
 # checks that every module binding of type1 is wrapped, this one included.
-from .products import DEFAULT_CAP, evolve, type1, type2_power  # noqa: F401
+from .products import evolve, type1, type2_power  # noqa: F401
 from .tensor import Dims
 
 
@@ -69,8 +69,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_evolve(args: argparse.Namespace) -> int:
     machine, tokens = _load(args)
-    initial = initial_configuration(machine, tokens or [], args.cells)
     b, dropped = encode_machine(machine, args.cells)
+    initial = initial_configuration(machine, tokens or [], args.cells)
     if dropped:
         print(format_dropped(dropped), file=sys.stderr)
     tensors = evolve(encode_config(initial, b.dims), b, args.steps)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 
 from .errors import DEFAULT_CAP, ResourceLimit, TensorError
-from .tensor import Coord, Quad, SparseTensor
+from .tensor import Coord, SparseTensor
 
 PairMap = dict[tuple[int, int], int]
 
@@ -29,18 +29,6 @@ def _check_type1_operands(a: SparseTensor, b: SparseTensor) -> None:
         raise TensorError("right operand must be a transition tensor (upper count >= 1)")
 
 
-def _upper_weight(a: SparseTensor, coord: Coord) -> int:
-    """Product of the configuration tensor's values over the upper groups."""
-    weight = 1
-    lookup = a.entries
-    for quad in coord[:-1]:
-        value = lookup.get((quad,), 0)
-        if not value:
-            return 0
-        weight *= value
-    return weight
-
-
 def factors(a: SparseTensor, b: SparseTensor) -> tuple[PairMap, PairMap]:
     """One pass over b: the local factor keeps the lower (cell, symbol) pair and
     the global factor the lower (state, head) pair, each summing over the other
@@ -48,14 +36,17 @@ def factors(a: SparseTensor, b: SparseTensor) -> tuple[PairMap, PairMap]:
     _check_type1_operands(a, b)
     local: PairMap = {}
     glob: PairMap = {}
-    for coord, bv in b.entries.items():
-        weight = _upper_weight(a, coord)
-        if not weight:
-            continue
-        i2, j2, k2, l2 = coord[-1]
-        term = weight * bv
-        local[(i2, j2)] = local.get((i2, j2), 0) + term
-        glob[(k2, l2)] = glob.get((k2, l2), 0) + term
+    lookup = a.entries
+    for coord, term in b.entries.items():
+        for quad in coord[:-1]:
+            value = lookup.get((quad,), 0)
+            if not value:
+                break
+            term *= value
+        else:
+            i2, j2, k2, l2 = coord[-1]
+            local[(i2, j2)] = local.get((i2, j2), 0) + term
+            glob[(k2, l2)] = glob.get((k2, l2), 0) + term
     return (
         {pair: value for pair, value in local.items() if value},
         {pair: value for pair, value in glob.items() if value},
@@ -109,22 +100,21 @@ def type2(b: SparseTensor, c: SparseTensor, cap: int = DEFAULT_CAP) -> SparseTen
     if b.upper_count < 1 or c.upper_count < 1:
         raise TensorError("both operands must be transition tensors (upper count >= 1)")
 
-    local_margin: dict[tuple[Coord, tuple[int, int]], int] = {}
-    global_margin: dict[tuple[Coord, tuple[int, int]], int] = {}
+    local_sums: dict[tuple[int, int], dict[Coord, int]] = {}
+    global_sums: dict[tuple[int, int], dict[Coord, int]] = {}
     for coord, value in b.entries.items():
         upper = coord[:-1]
         i, j, k, l = coord[-1]
-        key = (upper, (i, j))
-        local_margin[key] = local_margin.get(key, 0) + value
-        key = (upper, (k, l))
-        global_margin[key] = global_margin.get(key, 0) + value
+        sums = local_sums.setdefault((i, j), {})
+        sums[upper] = sums.get(upper, 0) + value
+        sums = global_sums.setdefault((k, l), {})
+        sums[upper] = sums.get(upper, 0) + value
 
-    local_index: dict[tuple[int, int], list[tuple[Coord, int]]] = {}
-    global_index: dict[tuple[int, int], list[tuple[Coord, int]]] = {}
-    for margin, index in ((local_margin, local_index), (global_margin, global_index)):
-        for (upper, pair), value in margin.items():
-            if value:
-                index.setdefault(pair, []).append((upper, value))
+    # A pair whose marginals all cancel keeps an empty list: it offers no choice.
+    local_index, global_index = (
+        {pair: [(u, s) for u, s in sums.items() if s] for pair, sums in margins.items()}
+        for margins in (local_sums, global_sums)
+    )
 
     # Predict the full expansion before accumulating anything, so an
     # over-budget composition aborts without doing the work.
@@ -151,18 +141,18 @@ def type2(b: SparseTensor, c: SparseTensor, cap: int = DEFAULT_CAP) -> SparseTen
 
     acc: dict[Coord, int] = {}
     for coord, cv, choices in expansions:
-        lower = coord[-1]
+        lower = coord[-1:]
         for picks in itertools.product(*choices):
             value = cv
-            parts: list[Quad] = []
+            key: Coord = ()
             for upper, weight in picks:
                 value *= weight
-                parts.extend(upper)
-            parts.append(lower)
-            key = tuple(parts)
+                key += upper
+            key += lower
             acc[key] = acc.get(key, 0) + value
-    upper_count = 2 * b.upper_count * c.upper_count
-    return SparseTensor(b.dims, upper_count, {key: value for key, value in acc.items() if value})
+    for key in [key for key, value in acc.items() if not value]:
+        del acc[key]
+    return SparseTensor(b.dims, 2 * b.upper_count * c.upper_count, acc)
 
 
 def type2_power(b: SparseTensor, e: int, cap: int = DEFAULT_CAP) -> SparseTensor:

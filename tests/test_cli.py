@@ -260,9 +260,17 @@ def test_assoc_fails_on_entrywise_mismatch(capsys, monkeypatch):
         ["evolve", M1, "--cells", "2000"],
         # the second tensor of a trial would take 144^4 = 4.3e8 draws
         ["assoc", "--cells", "6", "--p", "3", "--trials", "1"],
+        ["verify", M1, "--cells", "2000"],
+        ["compose", M1, "--cells", "2000"],
     ],
 )
-def test_oversize_materialisation_exits_3_before_building(capsys, argv):
+def test_oversize_materialisation_exits_3_before_building(capsys, monkeypatch, argv):
+    # The cap check comes before the tape window is laid out, too.
+    def refuse(*args):
+        raise AssertionError("the tape was laid out before the cap check")
+
+    monkeypatch.setattr("tmtensor.cli.initial_configuration", refuse)
+    monkeypatch.setattr("tmtensor.harness.initial_configuration", refuse)
     code, out, err = run(capsys, *argv)
     assert code == 3
     assert out == []

@@ -151,10 +151,26 @@ def test_type1_refuses_an_outer_product_over_the_cap():
         type1(a, b)
 
 
-@pytest.mark.parametrize("p,seed", [(1, 0), (1, 1), (2, 2), (2, 3)])
-def test_type1_matches_brute_force(p, seed):
-    a = random_tensor(DIMS, 0, density=0.4, value_bound=3, seed=seed)
-    b = random_tensor(DIMS, p, density=0.2, value_bound=3, seed=seed + 100)
+def random_operand(upper_count, density, seed, signed):
+    """``random_tensor`` over DIMS with values 1..3; a signed operand has each
+    value minus 2, so its stored values are +-1 and its sums can cancel."""
+    t = random_tensor(DIMS, upper_count, density=density, value_bound=3, seed=seed)
+    if signed:
+        t = SparseTensor.from_entries(DIMS, upper_count, ((c, v - 2) for c, v in t.entries.items()))
+    return t
+
+
+@pytest.mark.parametrize(
+    "p,seed,signed",
+    [
+        pytest.param(p, seed, signed, id=f"{p}-{seed}" + "-signed" * signed)
+        for signed in (False, True)
+        for p, seed in [(1, 0), (1, 1), (2, 2), (2, 3)]
+    ],
+)
+def test_type1_matches_brute_force(p, seed, signed):
+    a = random_operand(0, 0.6 if signed else 0.4, seed, signed)
+    b = random_operand(p, 0.4 if signed else 0.2, seed + 100, signed)
     assert type1(a, b).entries == brute_force_type1(a, b)
 
 
@@ -169,10 +185,18 @@ def test_type1_equals_factor_outer_product(seed):
     assert type1(a, b).entries == expected
 
 
-@pytest.mark.parametrize("seed", range(3))
-def test_type2_matches_brute_force(seed):
-    b = random_tensor(DIMS, 1, density=0.15, value_bound=3, seed=seed)
-    c = random_tensor(DIMS, 1, density=0.15, value_bound=3, seed=seed + 10)
+@pytest.mark.parametrize(
+    "seed,signed",
+    [
+        pytest.param(seed, signed, id=f"{seed}" + "-signed" * signed)
+        for signed in (False, True)
+        for seed in range(3)
+    ],
+)
+def test_type2_matches_brute_force(seed, signed):
+    density = 0.4 if signed else 0.15
+    b = random_operand(1, density, seed, signed)
+    c = random_operand(1, density, seed + 10, signed)
     d = type2(b, c)
     assert d.upper_count == 2
     assert d.entries == brute_force_type2_order8(b, c)
