@@ -35,31 +35,20 @@ def encode_config(config: Configuration, dims: Dims) -> SparseTensor:
 
 
 def decode_config(a: SparseTensor) -> Configuration:
-    """Inverse of :func:`encode_config`; rejects anything not of that shape."""
+    """Inverse of :func:`encode_config`: the configuration read off the entries
+    (a cell without one reads blank) must re-encode to exactly ``a``."""
     if a.upper_count != 0:
         raise TensorError("only configuration tensors (upper count 0) decode")
     cells = a.dims.cells
     if a.nnz != cells:
         raise TensorError(f"expected {cells} entries, found {a.nnz}")
-    symbol_at: dict[int, int] = {}
-    state_head: tuple[int, int] | None = None
-    for coord, value in a.entries.items():
-        if value != 1:
-            raise TensorError(f"entry {coord} has value {value}, not 1")
-        i, j, k, l = coord[0]
-        if k == 0:
-            raise TensorError("an entry carries the bookkeeping state 0")
-        if state_head is None:
-            state_head = (k, l)
-        elif state_head != (k, l):
-            raise TensorError("entries disagree on (state, head)")
-        if i in symbol_at:
-            raise TensorError(f"cell {i} carries two symbols")
-        symbol_at[i] = j
-    assert state_head is not None
-    # nnz == cells with distinct cell indices covers every cell exactly once.
-    tape = tuple(symbol_at[i] for i in range(1, cells + 1))
-    return Configuration(tape=tape, head=state_head[1], state=state_head[0])
+    symbol_at = {coord[0][0]: coord[0][1] for coord in a.entries}
+    _, _, state, head = next(iter(a.entries))[0]
+    tape = tuple(symbol_at.get(i, 0) for i in range(1, cells + 1))
+    config = Configuration(tape=tape, head=head, state=state)
+    if encode_config(config, a.dims) == a:
+        return config
+    raise TensorError("tensor is not the characteristic tensor of a configuration")
 
 
 class MachineEncoding(NamedTuple):

@@ -81,8 +81,8 @@ def type2(b: SparseTensor, c: SparseTensor, cap: int = DEFAULT_CAP) -> SparseTen
     (state, head) pair; both kept pairs contract against that slot's quad of
     c, and c's lower group survives as the lower group of the result.
 
-    Raises ResourceLimit once the accumulated expansion exceeds ``cap`` terms
-    (an upper bound on the stored entries the expansion can produce).
+    Raises ResourceLimit, before accumulating anything, when the predicted
+    number of expansion terms (a bound on the stored entries) exceeds ``cap``.
 
     Re-association is exact entry by entry.  With L, G for the marginals and
     W_b(U V; y) = prod_s L_b(U_s; ij(y_s)) G_b(V_s; kl(y_s)), an entry of b∘c

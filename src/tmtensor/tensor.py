@@ -86,8 +86,10 @@ def format_coord(coord: Coord) -> str:
 class SparseTensor:
     """Immutable mapping from coordinates (tuples of quads) to nonzero integers.
 
-    Treat ``entries`` as read-only; construct through :meth:`from_entries`,
-    which validates, sums duplicates, and drops zeros.
+    Treat ``entries`` as read-only.  The constructor checks nothing: the package
+    builds finished, zero-free dicts and passes them straight in.  Outside input
+    goes through :meth:`from_entries`, which validates, sums duplicates and drops
+    zeros, or through :meth:`from_text`.
     """
 
     dims: Dims

@@ -12,6 +12,7 @@ from tmtensor import (
     encode_machine,
     extend_delta,
     format_dropped,
+    initial_configuration,
     parse_machine,
     restrict_k_nonzero,
 )
@@ -84,28 +85,98 @@ def test_encode_config_dims_mismatch():
         encode_config(Configuration((0, 0), head=1, state=0), dims)
 
 
+NOT_CHARACTERISTIC = "not the characteristic tensor of a configuration"
+
+
 def test_decode_rejects_non_characteristic():
     dims = Dims(2, 2, 2)
     with pytest.raises(TensorError, match="expected 2 entries, found 0"):
         decode_config(SparseTensor(dims, 0, {}))
     # two head positions
     bad = SparseTensor.from_entries(dims, 0, [(((1, 0, 1, 1),), 1), (((2, 0, 1, 2),), 1)])
-    with pytest.raises(TensorError, match="entries disagree on"):
+    with pytest.raises(TensorError, match=NOT_CHARACTERISTIC):
         decode_config(bad)
     # doubled cell
     bad = SparseTensor.from_entries(dims, 0, [(((1, 0, 1, 1),), 1), (((1, 1, 1, 1),), 1)])
-    with pytest.raises(TensorError, match="two symbols"):
+    with pytest.raises(TensorError, match=NOT_CHARACTERISTIC):
         decode_config(bad)
     # non-unit value
     bad = SparseTensor.from_entries(dims, 0, [(((1, 0, 1, 1),), 2), (((2, 0, 1, 1),), 1)])
-    with pytest.raises(TensorError, match="has value 2, not 1"):
+    with pytest.raises(TensorError, match=NOT_CHARACTERISTIC):
         decode_config(bad)
     # bookkeeping state in an entry
     bad = SparseTensor.from_entries(dims, 0, [(((1, 0, 0, 1),), 1), (((2, 0, 0, 1),), 1)])
-    with pytest.raises(TensorError, match="bookkeeping state 0"):
+    with pytest.raises(TensorError, match="state 0 outside"):
         decode_config(bad)
     with pytest.raises(TensorError, match="only configuration tensors"):
         decode_config(SparseTensor(dims, 1, {}))
+
+
+# Tensors on a 2-cell window that the plain constructor accepts unchecked.
+@pytest.mark.parametrize(
+    "quads, message",
+    [
+        ([(1, 5, 1, 1), (2, 0, 1, 1)], "symbol index 5 outside 0..1"),
+        ([(1, 0, 1, 7), (2, 0, 1, 7)], "head 7 outside 1..2"),
+        ([(1, 0, 4, 1), (2, 0, 4, 1)], "state 4 outside 1..1"),
+        ([(1, 0, 1, 1), (3, 0, 1, 1)], NOT_CHARACTERISTIC),
+    ],
+    ids=["symbol-5", "head-7", "state-4", "cell-3"],
+)
+def test_decode_rejects_out_of_range_entries(quads, message):
+    bad = SparseTensor(Dims(2, 2, 2), 0, {(quad,): 1 for quad in quads})
+    with pytest.raises(TensorError, match=message):
+        decode_config(bad)
+
+
+def malformed_mutants(a):
+    """(label, entries) for every one-entry change of the configuration tensor
+    ``a`` that no configuration encodes to: the entry dropped, its value set to
+    2, or its state, head, cell or symbol moved out of what ``encode_config``
+    writes (cell and head also to one past the window)."""
+    dims = a.dims
+    one_past = range(1, dims.cells + 2)
+    for coord in a.entries:
+        i, j, k, l = coord[0]
+        rest = {c: v for c, v in a.entries.items() if c != coord}
+        yield f"cell {i} dropped", rest
+        yield f"cell {i} value 2", {**rest, coord: 2}
+        moved = (
+            [(i, j, k2, l) for k2 in (0, dims.states)]
+            + [(i, j, k, l2) for l2 in one_past if l2 != l]
+            + [(i2, j, k, l) for i2 in one_past if i2 != i]
+            + [(i, dims.symbols, k, l)]
+        )
+        for quad in moved:
+            yield f"cell {i} as {quad}", {**rest, (quad,): 1}
+
+
+def test_decode_rejects_every_malformed_mutant(corpus):
+    for name, machine, tape in corpus:
+        a = encode_config(initial_configuration(machine, tape, 4), machine.dims(4))
+        for label, entries in malformed_mutants(a):
+            try:
+                decoded = decode_config(SparseTensor(a.dims, 0, entries))
+            except TensorError:
+                continue
+            pytest.fail(f"{name}, {label}: decoded to {decoded}")
+
+
+def test_decode_reads_every_in_range_symbol_mutant(corpus):
+    for name, machine, tape in corpus:
+        config = initial_configuration(machine, tape, 4)
+        a = encode_config(config, machine.dims(4))
+        for i in range(1, 5):
+            for j in range(a.dims.symbols):
+                if j == config.tape[i - 1]:
+                    continue
+                entries = {c: v for c, v in a.entries.items() if c[0][0] != i}
+                entries[((i, j, config.state, config.head),)] = 1
+                mutant = SparseTensor(a.dims, 0, entries)
+                changed = config.tape[: i - 1] + (j,) + config.tape[i:]
+                expected = Configuration(changed, head=config.head, state=config.state)
+                assert decode_config(mutant) == expected, (name, i, j)
+                assert encode_config(expected, a.dims) == mutant, (name, i, j)
 
 
 configs = st.builds(

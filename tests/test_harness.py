@@ -13,6 +13,7 @@ from tmtensor import (
     random_tensor,
     restrict_k_nonzero,
     type1,
+    type2,
     type2_assoc_trial,
     type2_power,
     verify_evolution,
@@ -171,6 +172,18 @@ def test_mixed_assoc_trial_higher_upper_counts():
 def test_mixed_assoc_trial_near_zero_density():
     # density small enough that the tensors are almost surely all zero
     assert mixed_assoc_trial(SMALL, 1, 1, density=1e-9, seed=0).passed
+
+
+def test_mixed_assoc_trial_names_the_first_difference(monkeypatch):
+    def corrupted(b, c, cap):
+        composite = type2(b, c, cap=cap)
+        smallest = min(composite.entries)
+        pairs = [*composite.entries.items(), (smallest, 1)]
+        return SparseTensor.from_entries(composite.dims, composite.upper_count, pairs)
+
+    monkeypatch.setattr("tmtensor.harness.type2", corrupted)
+    check = mixed_assoc_trial(SMALL, 1, 1, density=0.3, seed=1)
+    assert check.line() == 'CHECK mixed-assoc seed=1 -> FAIL witness="1 0 0 1"'
 
 
 def test_mixed_assoc_resource_limit_on_big_composition():

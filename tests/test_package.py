@@ -1,5 +1,6 @@
 """Package-level checks: the module layering, unused imports, the exceptions
-the CLI catches and the README's library example."""
+the CLI catches, the README's library example and that no function changes a
+tensor it receives."""
 
 import ast
 import os
@@ -7,6 +8,27 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+from tmtensor import (
+    Dims,
+    TensorError,
+    audit_nnz,
+    decode_config,
+    encode_config,
+    encode_machine,
+    evolve,
+    factors,
+    initial_configuration,
+    random_tensor,
+    restrict_k_nonzero,
+    type1,
+    type2,
+    type2_power,
+    verify_evolution,
+    verify_power,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "tmtensor"
@@ -185,3 +207,54 @@ def test_cli_main_catches_every_raised_exception():
     for path in sorted(PACKAGE.glob("*.py")):
         for name in raised_names(path.read_text()):
             assert name in caught or (path.stem, name) in UNCAUGHT_ON_PURPOSE, (path.stem, name)
+
+
+def test_no_function_changes_a_tensor_it_receives(corpus):
+    """Every operand's entries are the same after each call, which an index
+    cached on a tensor relies on."""
+    snapshots = []
+
+    def operands(*tensors):
+        snapshots.extend((t, dict(t.entries)) for t in tensors)
+        return tensors
+
+    for _, machine, tape in corpus:
+        encoding = encode_machine(machine, 3)
+        a, b = operands(
+            encode_config(initial_configuration(machine, tape, 3), encoding.tensor.dims),
+            encoding.tensor,
+        )
+        factors(a, b)
+        (b2,) = operands(type2_power(b, 2))
+        type2(b, b2)
+        for a_t in operands(*evolve(a, b, 4)):
+            type1(a_t, b2)
+            a_t.to_text()
+            (restricted,) = operands(restrict_k_nonzero(a_t))
+            if not restricted.is_zero:  # empty once off the window
+                decode_config(restricted)
+        verify_evolution(machine, tape, b, 4)
+        verify_power(machine, tape, b2, 2, 2)
+        audit_nnz(machine, encoding)
+        b.to_text()
+
+    dims = Dims(2, 2, 2)
+    for seed in range(3):
+        a, b, c = operands(
+            random_tensor(dims, 0, density=0.5, value_bound=3, seed=seed),
+            random_tensor(dims, 1, density=0.3, value_bound=3, seed=seed + 10),
+            random_tensor(dims, 1, density=0.3, value_bound=3, seed=seed + 20),
+        )
+        factors(a, b)
+        type1(a, b)
+        type2(b, c)
+        type2_power(c, 2)
+        evolve(a, b, 3)
+        restrict_k_nonzero(a)
+        with pytest.raises(TensorError):
+            decode_config(a)
+        a.to_text()
+        c.to_text()
+
+    for t, before in snapshots:
+        assert t.entries == before, t
