@@ -4,15 +4,15 @@ The evolution product contracts a configuration tensor against a transition
 tensor and factors exactly into an outer product: a local factor over
 (cell, symbol) and a global factor over (state, head).  The composition
 product merges two transition tensors into one whose single application
-equals two successive applications of the operands; it is computed through
-per-upper-sequence local/global marginals of the left operand, never by
-expanding the full Einstein sum.  All arithmetic is exact integer arithmetic.
+equals two successive applications of the operands; it contracts the right
+operand one upper slot at a time against per-upper-sequence local/global
+marginals of the left operand, summing each slot's global half before its
+local half multiplies out, and never expands the full Einstein sum.  All
+arithmetic is exact integer arithmetic.
 Reading a tensor back as a machine configuration is left to ``encoding``.
 """
 
 from __future__ import annotations
-
-import itertools
 
 from .errors import DEFAULT_CAP, ResourceLimit, TensorError
 from .tensor import Coord, SparseTensor
@@ -76,19 +76,31 @@ def type2(b: SparseTensor, c: SparseTensor, cap: int = DEFAULT_CAP) -> SparseTen
     """Composition product of transition tensors with upper counts p and q.
 
     The result has upper count 2pq: for each of c's upper groups (a "slot"),
-    a block of p groups feeds a b-marginal keeping the lower (cell, symbol)
-    pair, then a block of p groups feeds a b-marginal keeping the lower
+    a block U of p groups feeds b's marginal L keeping the lower (cell, symbol)
+    pair, then a block V of p groups feeds b's marginal G keeping the lower
     (state, head) pair; both kept pairs contract against that slot's quad of
-    c, and c's lower group survives as the lower group of the result.
+    c, and c's lower group survives as the lower group of the result.  Slot
+    by slot, an entry is
+        sum_ij L(U_s; ij) sum_kl G(V_s; kl) c(.. ij kl ..; z)
+    at the coordinate (U_1 V_1 .. U_q V_q; z), and it is computed in that
+    order: for each slot, the sums h(V_s) over (k, l) are taken first, and
+    only their nonzero values multiply out against L.  Terms that merge are
+    therefore added before they expand.
 
     Raises ResourceLimit, before accumulating anything, when the predicted
-    number of expansion terms (a bound on the stored entries) exceeds ``cap``.
+    number of terms of the full expansion exceeds ``cap``.  The prediction
+    bounds every intermediate stage as well as the result: after slot s at
+    most sum_y prod_{t<=s} |L(ij(y_t))| |G(kl(y_t))| entries exist.
 
-    Re-association is exact entry by entry.  With L, G for the marginals and
-    W_b(U V; y) = prod_s L_b(U_s; ij(y_s)) G_b(V_s; kl(y_s)), an entry of b∘c
-    is sum_y c(y; z) W_b(U V; y), so its marginals are the same sums over c's
-    marginals: they factor through the inner composite.  Both (b∘c)∘f and
-    b∘(c∘f), whose sum over c∘f's upper groups splits per block, expand to
+    Re-association is exact entry by entry.  Multiplying out the nested
+    sums, an entry of b∘c is sum_y c(y; z) W_b(U V; y) with
+    W_b(U V; y) = prod_s L_b(U_s; ij(y_s)) G_b(V_s; kl(y_s)); the argument
+    concerns these entries, finite sums of exact integers, so it holds
+    whatever the order of summation.  Summing that form over the kept
+    pair's partner gives b∘c's marginals as the same sums over c's marginals,
+    L_{b∘c}(A; ij) = sum_y L_c(y; ij) W_b(A; y) and likewise for G: they
+    factor through the inner composite.  Both (b∘c)∘f and b∘(c∘f), whose sum
+    over c∘f's upper groups splits per block, expand to
         sum_x f(x; z) prod_t [sum_y L_c(y; ij(x_t)) W_b(A_t; y)]
                              [sum_y G_c(y; kl(x_t)) W_b(B_t; y)]
     at the coordinate (A_1 B_1 .. A_r B_r; z): slot-major over f, then the
@@ -118,41 +130,47 @@ def type2(b: SparseTensor, c: SparseTensor, cap: int = DEFAULT_CAP) -> SparseTen
 
     # Predict the full expansion before accumulating anything, so an
     # over-budget composition aborts without doing the work.
-    expansions: list[tuple[Coord, int, list[list[tuple[Coord, int]]]]] = []
+    entries: dict[Coord, int] = {}
     terms = 0
     for coord, cv in c.entries.items():
-        choices: list[list[tuple[Coord, int]]] = []
         count = 1
         for i, j, k, l in coord[:-1]:
-            loc = local_index.get((i, j))
-            glo = global_index.get((k, l))
-            if not loc or not glo:
-                count = 0
-                break
-            choices.append(loc)
-            choices.append(glo)
-            count *= len(loc) * len(glo)
-        if not count:
-            continue
-        terms += count
-        expansions.append((coord, cv, choices))
+            count *= len(local_index.get((i, j), ())) * len(global_index.get((k, l), ()))
+        if count:
+            terms += count
+            entries[coord] = cv
     if terms > cap:
         raise ResourceLimit(f"composition would accumulate {terms} terms, cap is {cap}")
 
-    acc: dict[Coord, int] = {}
-    for coord, cv, choices in expansions:
-        lower = coord[-1:]
-        for picks in itertools.product(*choices):
-            value = cv
-            key: Coord = ()
-            for upper, weight in picks:
-                value *= weight
-                key += upper
-            key += lower
-            acc[key] = acc.get(key, 0) + value
-    for key in [key for key, value in acc.items() if not value]:
-        del acc[key]
-    return SparseTensor(b.dims, 2 * b.upper_count * c.upper_count, acc)
+    # Slot by slot, the quad at ``pos`` becomes the blocks U V.  Entries that
+    # differ only in the slot's (k, l) share a group; its G sums h[V] are
+    # taken before they multiply out against L.
+    width = 2 * b.upper_count
+    for pos in range(0, width * c.upper_count, width):
+        groups: dict[tuple[Coord, int, int, Coord], list[tuple[list[tuple[Coord, int]], int]]] = {}
+        for coord, value in entries.items():
+            i, j, k, l = coord[pos]
+            groups.setdefault((coord[:pos], i, j, coord[pos + 1 :]), []).append(
+                (global_index[(k, l)], value)
+            )
+        # Popping frees each group as it expands, so the groups and the next
+        # stage do not reach their full sizes together.
+        entries = {}
+        while groups:
+            (prefix, i, j, rest), group = groups.popitem()
+            h: dict[Coord, int] = {}
+            for glo, value in group:
+                for upper, weight in glo:
+                    h[upper] = h.get(upper, 0) + value * weight
+            tails = [(upper + rest, hv) for upper, hv in h.items() if hv]
+            for upper, weight in local_index[(i, j)]:
+                head = prefix + upper
+                for tail, hv in tails:
+                    key = head + tail
+                    entries[key] = entries.get(key, 0) + weight * hv
+        for key in [key for key, value in entries.items() if not value]:
+            del entries[key]
+    return SparseTensor(b.dims, 2 * b.upper_count * c.upper_count, entries)
 
 
 def type2_power(b: SparseTensor, e: int, cap: int = DEFAULT_CAP) -> SparseTensor:

@@ -20,7 +20,7 @@ from tmtensor import (
     type2,
     type2_power,
 )
-from tmtensor.harness import random_tensor
+from tmtensor.harness import mixed_assoc_trial, random_tensor
 
 from conftest import input_words
 
@@ -76,6 +76,50 @@ def brute_force_type2_order8(b, c):
                 if total:
                     entries[(x1, x2, z)] = total
     return entries
+
+
+def brute_force_type2(b, c):
+    """The composition sum for any upper counts, straight from its definition.
+
+    Each upper quad y of an entry of c is replaced by the uppers U V of a pair
+    of b's entries: the first with lower (cell, symbol) equal to y's, the
+    second with lower (state, head) equal to y's.  Keys are U_1 V_1 .. U_q V_q z;
+    no marginal is formed.
+    """
+    entries = {}
+    for coord, cv in c.entries.items():
+        *slots, z = coord
+        choices = []
+        for i, j, k, l in slots:
+            firsts = [(u[:-1], bu) for u, bu in b.entries.items() if u[-1][:2] == (i, j)]
+            seconds = [(v[:-1], bv) for v, bv in b.entries.items() if v[-1][2:] == (k, l)]
+            choices.append([(u + v, bu * bv) for u, bu in firsts for v, bv in seconds])
+        for picks in itertools.product(*choices):
+            key, value = (), cv
+            for uv, weight in picks:
+                key += uv
+                value *= weight
+            key += (z,)
+            entries[key] = entries.get(key, 0) + value
+    return {key: value for key, value in entries.items() if value}
+
+
+def cancelled_first_slot_sums(b, c):
+    """How many sums sum_kl G(V; kl) c(ij kl ..; z) over c's first upper slot
+    have a nonzero term and still come to 0, where G is b's (state, head)
+    marginal."""
+    glob = {}
+    for coord, value in b.entries.items():
+        sums = glob.setdefault(coord[-1][2:], {})
+        sums[coord[:-1]] = sums.get(coord[:-1], 0) + value
+    sums = {}
+    for (y, *rest), cv in c.entries.items():
+        i, j, k, l = y
+        for upper, g in glob.get((k, l), {}).items():
+            if g:
+                key = (i, j, tuple(rest), upper)
+                sums[key] = sums.get(key, 0) + cv * g
+    return sum(1 for value in sums.values() if not value)
 
 
 def test_factors_on_m1(m1):
@@ -200,6 +244,44 @@ def test_type2_matches_brute_force(seed, signed):
     d = type2(b, c)
     assert d.upper_count == 2
     assert d.entries == brute_force_type2_order8(b, c)
+
+
+@pytest.mark.parametrize(
+    "p,q,density_b,density_c,seed,signed",
+    [
+        pytest.param(*case, signed, id=f"{case[0]}{case[1]}" + "-signed" * signed)
+        for signed in (False, True)
+        for case in [(1, 1, 0.3, 0.3, 0), (2, 1, 0.02, 0.2, 1), (1, 2, 0.05, 0.05, 2)]
+    ],
+)
+def test_type2_matches_the_definition(p, q, density_b, density_c, seed, signed):
+    b = random_operand(p, density_b, seed, signed)
+    c = random_operand(q, density_c, seed + 10, signed)
+    d = type2(b, c)
+    assert d.upper_count == 2 * p * q
+    assert 0 not in d.entries.values()
+    assert d.entries == brute_force_type2(b, c)
+    if signed:
+        # Sums over the slot's (k, l) cancel to 0 before they meet L.
+        assert cancelled_first_slot_sums(b, c) > 0
+
+
+def test_type2_cap_counts_the_expanded_terms(monkeypatch):
+    # The mixed trial at density 0.3, seed 0 expands 10,098 terms into 3,490
+    # entries; the cap bounds the terms, not the entries.
+    operands = []
+
+    def record(b, c, cap):
+        operands.append((b, c))
+        return type2(b, c, cap=cap)
+
+    monkeypatch.setattr("tmtensor.harness.type2", record)
+    assert mixed_assoc_trial(DIMS, 1, 1, density=0.3, seed=0).passed
+    [(b, c)] = operands
+    assert type2(b, c, cap=10098).nnz == 3490
+    with pytest.raises(ResourceLimit) as refused:
+        type2(b, c, cap=10097)
+    assert str(refused.value) == "composition would accumulate 10098 terms, cap is 10097"
 
 
 def test_type2_entrywise_associative_exhaustive():
