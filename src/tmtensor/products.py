@@ -2,14 +2,14 @@
 
 The evolution product contracts a configuration tensor against a transition
 tensor and factors exactly into an outer product: a local factor over
-(cell, symbol) and a global factor over (state, head).  The composition
-product merges two transition tensors into one whose single application
-equals two successive applications of the operands; it contracts the right
-operand one upper slot at a time against per-upper-sequence local/global
-marginals of the left operand, summing each slot's global half before its
-local half multiplies out, and never expands the full Einstein sum.  All
-arithmetic is exact integer arithmetic.
-Reading a tensor back as a machine configuration is left to ``encoding``.
+(cell, symbol) and a global factor over (state, head).  One scan of the
+transition tensor sums both, reading the configuration through a quad-keyed map
+and skipping an entry at its first upper quad that misses.  The composition
+product merges two transition tensors into one that acts as both in turn; it
+contracts the right operand slot by slot against the left operand's
+per-upper-sequence local/global marginals, summing each slot's global half
+before its local half multiplies out, and never expands the full Einstein sum.
+All arithmetic is exact; ``encoding`` reads tensors back as configurations.
 """
 
 from __future__ import annotations
@@ -30,16 +30,21 @@ def _check_type1_operands(a: SparseTensor, b: SparseTensor) -> None:
 
 
 def factors(a: SparseTensor, b: SparseTensor) -> tuple[PairMap, PairMap]:
-    """One pass over b: the local factor keeps the lower (cell, symbol) pair and
-    the global factor the lower (state, head) pair, each summing over the other
-    pair.  Zero sums are left out."""
+    """One pass over b, reading a through a quad-keyed map built once per call;
+    an entry of b is skipped at its first upper quad that a lacks.  The local
+    factor keeps the lower (cell, symbol) pair and the global factor the lower
+    (state, head) pair, each summing over the other pair.  Zero sums are left out."""
     _check_type1_operands(a, b)
     local: PairMap = {}
     glob: PairMap = {}
-    lookup = a.entries
+    lookup = {quad: value for (quad,), value in a.entries.items()}
     for coord, term in b.entries.items():
-        for quad in coord[:-1]:
-            value = lookup.get((quad,), 0)
+        value = lookup.get(coord[0])
+        if not value:
+            continue
+        term *= value
+        for quad in coord[1:-1]:
+            value = lookup.get(quad)
             if not value:
                 break
             term *= value

@@ -28,20 +28,20 @@ DIMS = Dims(2, 2, 2)
 
 
 def brute_force_type1(a, b):
-    """Both defining sums evaluated over the full index space."""
+    """Both defining sums evaluated over the full index space.  An upper group
+    outside supp(a) weighs 0, so the sum over upper groups runs over supp(a)."""
     dims = a.dims
     p = b.upper_count
     quads = list(dims.iter_quads())
+    support = [x for x in quads if (x,) in a.entries]
     entries = {}
     for i, j, k, l in quads:
         local_sum = 0
         global_sum = 0
-        for uppers in itertools.product(quads, repeat=p):
+        for uppers in itertools.product(support, repeat=p):
             weight = 1
             for x in uppers:
-                weight *= a.entries.get((x,), 0)
-            if not weight:
-                continue
+                weight *= a.entries[(x,)]
             for k2 in range(dims.states):
                 for l2 in range(1, dims.cells + 1):
                     local_sum += weight * b.entries.get(uppers + ((i, j, k2, l2),), 0)
@@ -204,18 +204,90 @@ def random_operand(upper_count, density, seed, signed):
     return t
 
 
+def type1_operands(p, seed, signed):
+    """A configuration and a transition operand with upper count p.  At p = 4
+    the transition operand is the composite of random p = 1 and q = 2 operands."""
+    a = random_operand(0, 0.6 if signed else 0.4, seed, signed)
+    if p == 4:
+        b = type2(random_operand(1, 0.05, seed + 100, signed), random_operand(2, 0.05, seed + 200, signed))
+    else:
+        b = random_operand(p, 0.4 if signed else 0.2, seed + 100, signed)
+    return a, b
+
+
+def first_misses(a, b):
+    """The upper positions at which entries of b first leave supp(a)."""
+    misses = set()
+    for coord in b.entries:
+        for pos, quad in enumerate(coord[:-1]):
+            if (quad,) not in a.entries:
+                misses.add(pos)
+                break
+    return misses
+
+
+def cancelled_factor_sums(a, b):
+    """How many local and global sums of type1(a, b) have a nonzero term and
+    still come to 0."""
+    sums = {}
+    for coord, value in b.entries.items():
+        for quad in coord[:-1]:
+            value *= a.entries.get((quad,), 0)
+        if value:
+            i, j, k, l = coord[-1]
+            for key in (("local", i, j), ("global", k, l)):
+                sums[key] = sums.get(key, 0) + value
+    return sum(1 for value in sums.values() if not value)
+
+
 @pytest.mark.parametrize(
     "p,seed,signed",
     [
         pytest.param(p, seed, signed, id=f"{p}-{seed}" + "-signed" * signed)
         for signed in (False, True)
-        for p, seed in [(1, 0), (1, 1), (2, 2), (2, 3)]
+        for p, seed in [(1, 0), (1, 1), (2, 2), (2, 3), (3, 4), (3, 5), (4, 7), (4, 9)]
     ],
 )
 def test_type1_matches_brute_force(p, seed, signed):
-    a = random_operand(0, 0.6 if signed else 0.4, seed, signed)
-    b = random_operand(p, 0.4 if signed else 0.2, seed + 100, signed)
+    a, b = type1_operands(p, seed, signed)
+    # Some entry of b leaves supp(a) first at each upper position: the first,
+    # every middle one and the last.
+    assert first_misses(a, b) == set(range(p))
+    if signed and p >= 3:  # these seeds were picked so that sums cancel
+        assert cancelled_factor_sums(a, b)
     assert type1(a, b).entries == brute_force_type1(a, b)
+
+
+def scaled(t, factor):
+    """t with every value multiplied by a nonzero factor."""
+    return SparseTensor(t.dims, t.upper_count, {c: factor * v for c, v in t.entries.items()})
+
+
+LAW_CASES = [
+    pytest.param(p, seed, lam, id=f"{p}-{seed}-lambda{lam}")
+    for p, seed in [(1, 0), (2, 3), (4, 7)]
+    for lam in (-2, 3)
+]
+
+
+@pytest.mark.parametrize("p,seed,lam", LAW_CASES)
+def test_type1_is_homogeneous_of_degree_2u_in_a(p, seed, lam):
+    # Each factor sums terms with p values of a (p = u, b's upper count), so
+    # the outer product has degree 2p in a.
+    a, b = type1_operands(p, seed, signed=True)
+    expected = type1(a, b)
+    assert not expected.is_zero
+    assert type1(scaled(a, lam), b) == scaled(expected, lam ** (2 * p))
+
+
+@pytest.mark.parametrize("p,seed,lam", LAW_CASES)
+def test_type1_is_homogeneous_of_degree_2_in_b(p, seed, lam):
+    # Each factor sums terms with one value of b, so the outer product has
+    # degree 2 in b.
+    a, b = type1_operands(p, seed, signed=True)
+    expected = type1(a, b)
+    assert not expected.is_zero
+    assert type1(a, scaled(b, lam)) == scaled(expected, lam ** 2)
 
 
 @pytest.mark.parametrize("seed", range(4))
