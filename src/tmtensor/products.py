@@ -6,10 +6,12 @@ tensor and factors exactly into an outer product: a local factor over
 transition tensor sums both, reading the configuration through a quad-keyed map
 and skipping an entry at its first upper quad that misses.  The composition
 product merges two transition tensors into one that acts as both in turn; it
-contracts the right operand slot by slot against the left operand's
-per-upper-sequence local/global marginals, summing each slot's global half
-before its local half multiplies out, and never expands the full Einstein sum.
-All arithmetic is exact; ``encoding`` reads tensors back as configurations.
+contracts the right operand slot by slot against the left operand's local/global
+marginals, kept under one number per distinct upper sequence of the left
+operand.  Each slot's global half is summed before its local half multiplies
+out, the full Einstein sum is never expanded, and each key of a stage is built
+and stored once, with its nonzero value.  All arithmetic is exact; ``encoding``
+reads tensors back as configurations.
 """
 
 from __future__ import annotations
@@ -92,6 +94,14 @@ def type2(b: SparseTensor, c: SparseTensor, cap: int = DEFAULT_CAP) -> SparseTen
     only their nonzero values multiply out against L.  Terms that merge are
     therefore added before they expand.
 
+    Each distinct block of upper groups of b's entries, a possible U or V, is
+    numbered once; the marginals and every sum are keyed by these numbers.
+    Within a slot, the entries that agree off the slot form a group, and for
+    each U_s the h rows of the group's (i, j) pairs whose L holds U_s are
+    summed under V_s's number.  Keys of different groups or of different
+    (U_s, V_s) differ, so each key is built once, when its nonzero sum is
+    stored; a zero sum is never stored.
+
     Raises ResourceLimit, before accumulating anything, when the predicted
     number of terms of the full expansion exceeds ``cap``.  The prediction
     bounds every intermediate stage as well as the result: after slot s at
@@ -117,19 +127,23 @@ def type2(b: SparseTensor, c: SparseTensor, cap: int = DEFAULT_CAP) -> SparseTen
     if b.upper_count < 1 or c.upper_count < 1:
         raise TensorError("both operands must be transition tensors (upper count >= 1)")
 
-    local_sums: dict[tuple[int, int], dict[Coord, int]] = {}
-    global_sums: dict[tuple[int, int], dict[Coord, int]] = {}
+    # Number b's distinct upper blocks once: the marginals and every sum below
+    # are keyed by these numbers, and a block is spelled out only in a key.
+    number: dict[Coord, int] = {}
+    local_sums: dict[tuple[int, int], dict[int, int]] = {}
+    global_sums: dict[tuple[int, int], dict[int, int]] = {}
     for coord, value in b.entries.items():
-        upper = coord[:-1]
+        n = number.setdefault(coord[:-1], len(number))
         i, j, k, l = coord[-1]
         sums = local_sums.setdefault((i, j), {})
-        sums[upper] = sums.get(upper, 0) + value
+        sums[n] = sums.get(n, 0) + value
         sums = global_sums.setdefault((k, l), {})
-        sums[upper] = sums.get(upper, 0) + value
+        sums[n] = sums.get(n, 0) + value
+    uppers = list(number)
 
     # A pair whose marginals all cancel keeps an empty list: it offers no choice.
     local_index, global_index = (
-        {pair: [(u, s) for u, s in sums.items() if s] for pair, sums in margins.items()}
+        {pair: [(n, s) for n, s in sums.items() if s] for pair, sums in margins.items()}
         for margins in (local_sums, global_sums)
     )
 
@@ -148,33 +162,56 @@ def type2(b: SparseTensor, c: SparseTensor, cap: int = DEFAULT_CAP) -> SparseTen
         raise ResourceLimit(f"composition would accumulate {terms} terms, cap is {cap}")
 
     # Slot by slot, the quad at ``pos`` becomes the blocks U V.  Entries that
-    # differ only in the slot's (k, l) share a group; its G sums h[V] are
-    # taken before they multiply out against L.
+    # share the quads around the slot form a group.  Per (i, j) pair of the
+    # group the G sums h[V] are taken first; then each U sums the h rows of
+    # the pairs whose L holds it.  Keys from different groups or different
+    # (U, V) differ, so each key is built once and stored once, nonzero.
     width = 2 * b.upper_count
     for pos in range(0, width * c.upper_count, width):
-        groups: dict[tuple[Coord, int, int, Coord], list[tuple[list[tuple[Coord, int]], int]]] = {}
+        groups: dict[tuple[Coord, Coord], dict[tuple[int, int], list[tuple[list[tuple[int, int]], int]]]] = {}
         for coord, value in entries.items():
             i, j, k, l = coord[pos]
-            groups.setdefault((coord[:pos], i, j, coord[pos + 1 :]), []).append(
+            groups.setdefault((coord[:pos], coord[pos + 1 :]), {}).setdefault((i, j), []).append(
                 (global_index[(k, l)], value)
             )
         # Popping frees each group as it expands, so the groups and the next
         # stage do not reach their full sizes together.
         entries = {}
         while groups:
-            (prefix, i, j, rest), group = groups.popitem()
-            h: dict[Coord, int] = {}
-            for glo, value in group:
-                for upper, weight in glo:
-                    h[upper] = h.get(upper, 0) + value * weight
-            tails = [(upper + rest, hv) for upper, hv in h.items() if hv]
-            for upper, weight in local_index[(i, j)]:
-                head = prefix + upper
-                for tail, hv in tails:
-                    key = head + tail
-                    entries[key] = entries.get(key, 0) + weight * hv
-        for key in [key for key, value in entries.items() if not value]:
-            del entries[key]
+            (prefix, rest), pairs = groups.popitem()
+            # Each row keeps its nonzero h by V's number, for merging, and
+            # spelled out as (V + rest, h[V]), for a U that only it holds.
+            tails: dict[int, Coord] = {}
+            rows: dict[int, list[tuple[int, dict[int, int], list[tuple[Coord, int]]]]] = {}
+            for pair, group in pairs.items():
+                h: dict[int, int] = {}
+                for glo, value in group:
+                    for n, weight in glo:
+                        h[n] = h.get(n, 0) + value * weight
+                h = {n: hv for n, hv in h.items() if hv}
+                if not h:
+                    continue
+                spelled = []
+                for n, hv in h.items():
+                    if n not in tails:
+                        tails[n] = uppers[n] + rest
+                    spelled.append((tails[n], hv))
+                for u, weight in local_index[pair]:
+                    rows.setdefault(u, []).append((weight, h, spelled))
+            for u, row in rows.items():
+                head = prefix + uppers[u]
+                if len(row) == 1:
+                    [(weight, _, spelled)] = row
+                    for tail, hv in spelled:
+                        entries[head + tail] = weight * hv
+                    continue
+                merged: dict[int, int] = {}
+                for weight, h, _ in row:
+                    for n, hv in h.items():
+                        merged[n] = merged.get(n, 0) + weight * hv
+                for n, value in merged.items():
+                    if value:
+                        entries[head + tails[n]] = value
     return SparseTensor(b.dims, 2 * b.upper_count * c.upper_count, entries)
 
 

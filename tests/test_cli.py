@@ -286,6 +286,17 @@ def test_assoc_resource_limit(capsys):
     assert "error" in err
 
 
+def test_assoc_cap_bounds_the_terms_of_both_slots(capsys):
+    # With q = 2 the cap counts the terms of both of c's slots: this trial's
+    # composition predicts 363,657 of them.
+    argv = ["assoc", "--p", "1", "--q", "2", "--trials", "1", "--density", "0.1", "--seed", "1"]
+    code, out, err = run(capsys, *argv, "--cap", "363656")
+    assert (code, out) == (3, [])
+    assert err == "error: composition would accumulate 363657 terms, cap is 363656\n"
+    code, out, _ = run(capsys, *argv, "--cap", "363657")
+    assert (code, out) == (0, ["CHECK mixed-assoc seed=1 -> PASS"])
+
+
 def test_usage_error_exit_code(capsys):
     # Nonsense counts are usage errors, never a PASS over nothing.
     for argv in (

@@ -25,6 +25,7 @@ from tmtensor.harness import mixed_assoc_trial, random_tensor
 from conftest import input_words
 
 DIMS = Dims(2, 2, 2)
+BIG = Dims(3, 2, 3)
 
 
 def brute_force_type1(a, b):
@@ -122,6 +123,46 @@ def cancelled_first_slot_sums(b, c):
     return sum(1 for value in sums.values() if not value)
 
 
+def first_slot_rows(b, c):
+    """How c's first upper slot meets b's uppers U.  Group c's entries by the
+    quads after the first, and within a group by the first quad's (i, j) pair;
+    a pair's row is h(V) = sum_kl G(V; kl) c(ij kl ..; z) with its zeros left
+    out.  Counts the (group, U) whose L holds U at exactly one pair with a
+    nonzero row ("single") and at two or more ("merged"), and the merged sums
+    sum_ij L(U; ij) h_ij(V) that have a nonzero term and still come to 0
+    ("cancelled")."""
+    margins = {"local": {}, "global": {}}
+    for coord, value in b.entries.items():
+        i, j, k, l = coord[-1]
+        for side, pair in (("local", (i, j)), ("global", (k, l))):
+            sums = margins[side].setdefault(pair, {})
+            sums[coord[:-1]] = sums.get(coord[:-1], 0) + value
+    rows = {}
+    for (y, *rest), cv in c.entries.items():
+        i, j, k, l = y
+        row = rows.setdefault((tuple(rest), (i, j)), {})
+        for upper, g in margins["global"].get((k, l), {}).items():
+            row[upper] = row.get(upper, 0) + cv * g
+    held = {}
+    for (rest, pair), row in rows.items():
+        row = {v: hv for v, hv in row.items() if hv}
+        for u, weight in margins["local"].get(pair, {}).items():
+            if weight and row:
+                held.setdefault((rest, u), []).append({v: weight * hv for v, hv in row.items()})
+    counts = {"single": 0, "merged": 0, "cancelled": 0}
+    for parts in held.values():
+        if len(parts) == 1:
+            counts["single"] += 1
+            continue
+        counts["merged"] += 1
+        sums = {}
+        for part in parts:
+            for v, term in part.items():
+                sums[v] = sums.get(v, 0) + term
+        counts["cancelled"] += sum(1 for value in sums.values() if not value)
+    return counts
+
+
 def test_factors_on_m1(m1):
     dims = m1.dims(4)
     a1 = encode_config(Configuration((1, 1, 0, 0), head=1, state=1), dims)
@@ -195,12 +236,12 @@ def test_type1_refuses_an_outer_product_over_the_cap():
         type1(a, b)
 
 
-def random_operand(upper_count, density, seed, signed):
-    """``random_tensor`` over DIMS with values 1..3; a signed operand has each
-    value minus 2, so its stored values are +-1 and its sums can cancel."""
-    t = random_tensor(DIMS, upper_count, density=density, value_bound=3, seed=seed)
+def random_operand(upper_count, density, seed, signed, dims=DIMS):
+    """``random_tensor`` with values 1..3; a signed operand has each value
+    minus 2, so its stored values are +-1 and its sums can cancel."""
+    t = random_tensor(dims, upper_count, density=density, value_bound=3, seed=seed)
     if signed:
-        t = SparseTensor.from_entries(DIMS, upper_count, ((c, v - 2) for c, v in t.entries.items()))
+        t = SparseTensor.from_entries(dims, upper_count, ((c, v - 2) for c, v in t.entries.items()))
     return t
 
 
@@ -336,6 +377,96 @@ def test_type2_matches_the_definition(p, q, density_b, density_c, seed, signed):
     if signed:
         # Sums over the slot's (k, l) cancel to 0 before they meet L.
         assert cancelled_first_slot_sums(b, c) > 0
+
+
+@pytest.mark.parametrize(
+    "p,q,density_b,density_c,seed",
+    [
+        pytest.param(*case, id=f"{case[0]}{case[1]}-{case[4]}")
+        for case in [(1, 1, 0.3, 0.3, 5), (1, 2, 0.05, 0.05, 4), (2, 1, 0.02, 0.2, 6)]
+    ],
+)
+def test_type2_merges_the_rows_of_an_upper_held_by_several_pairs(p, q, density_b, density_c, seed):
+    b = random_operand(p, density_b, seed, signed=True)
+    c = random_operand(q, density_c, seed + 10, signed=True)
+    rows = first_slot_rows(b, c)
+    # Some U of b is held by one pair of a group, some by several, and some
+    # merged sum cancels to 0 although its terms do not.
+    assert rows["single"] and rows["merged"] and rows["cancelled"], rows
+    d = type2(b, c)
+    assert 0 not in d.entries.values()
+    assert d.entries == brute_force_type2(b, c)
+
+
+def added(t1, t2):
+    """The entrywise sum of two tensors of one shape, zeros dropped."""
+    return SparseTensor.from_entries(t1.dims, t1.upper_count, [*t1.entries.items(), *t2.entries.items()])
+
+
+TYPE2_LAW_OPERANDS = {
+    "11": (DIMS, 1, 1, 0.3, 0.3, 0),
+    "21": (DIMS, 2, 1, 0.02, 0.2, 1),
+    "12": (DIMS, 1, 2, 0.05, 0.05, 2),
+    "BIG": (BIG, 1, 1, 0.1, 0.1, 3),
+}
+
+
+def type2_law_operands(case):
+    """Signed b, and two signed c drawn from different seeds, so that their
+    sum keeps some entries, cancels some and adds new ones."""
+    dims, p, q, density_b, density_c, seed = TYPE2_LAW_OPERANDS[case]
+    b = random_operand(p, density_b, seed, True, dims)
+    c1 = random_operand(q, density_c, seed + 10, True, dims)
+    c2 = random_operand(q, density_c, seed + 20, True, dims)
+    return b, c1, c2
+
+
+@pytest.mark.parametrize("case", TYPE2_LAW_OPERANDS)
+def test_type2_is_additive_in_c(case):
+    b, c1, c2 = type2_law_operands(case)
+    shared = c1.entries.keys() & c2.entries.keys()
+    assert any(c1.entries[x] + c2.entries[x] == 0 for x in shared)  # some entries cancel
+    assert any(c1.entries[x] == c2.entries[x] for x in shared)  # some add up
+    expected = added(type2(b, c1), type2(b, c2))
+    assert not expected.is_zero
+    assert type2(b, added(c1, c2)) == expected
+
+
+TYPE2_SCALING_CASES = [
+    pytest.param(case, lam, id=f"{case}-lambda{lam}") for case in TYPE2_LAW_OPERANDS for lam in (-2, 3)
+]
+
+
+@pytest.mark.parametrize("case,lam", TYPE2_SCALING_CASES)
+def test_type2_is_homogeneous_of_degree_1_in_c(case, lam):
+    # Each term has one value of c.
+    b, c, _ = type2_law_operands(case)
+    expected = type2(b, c)
+    assert not expected.is_zero
+    assert type2(b, scaled(c, lam)) == scaled(expected, lam)
+
+
+@pytest.mark.parametrize("case,lam", TYPE2_SCALING_CASES)
+def test_type2_is_homogeneous_of_degree_2q_in_b(case, lam):
+    # Each term has one L and one G value of b for each of c's q slots.
+    b, c, _ = type2_law_operands(case)
+    expected = type2(b, c)
+    assert not expected.is_zero
+    assert type2(scaled(b, lam), c) == scaled(expected, lam ** (2 * c.upper_count))
+
+
+def test_type2_is_additive_in_c_at_a_composition_power(bouncer):
+    # The shape of compose --power 3: the square of the bouncer at N = 3 on
+    # the left, where every U of a group is held by one pair.
+    b1 = encode_machine(bouncer, 3).tensor
+    # b2 cancels every other of a quarter of b1's entries, doubles the rest of
+    # that quarter and adds entries of its own.
+    shared = sorted(b1.entries)[::4]
+    own = random_operand(1, 0.01, 1, True, b1.dims)
+    b2 = added(own, SparseTensor(b1.dims, 1, {x: (-1) ** n for n, x in enumerate(shared)}))
+    square = type2_power(b1, 2)
+    expected = added(type2(square, b1), type2(square, b2))
+    assert type2(square, added(b1, b2)) == expected
 
 
 def test_type2_cap_counts_the_expanded_terms(monkeypatch):
