@@ -105,32 +105,15 @@ def brute_force_type2(b, c):
     return {key: value for key, value in entries.items() if value}
 
 
-def cancelled_first_slot_sums(b, c):
-    """How many sums sum_kl G(V; kl) c(ij kl ..; z) over c's first upper slot
-    have a nonzero term and still come to 0, where G is b's (state, head)
-    marginal."""
-    glob = {}
-    for coord, value in b.entries.items():
-        sums = glob.setdefault(coord[-1][2:], {})
-        sums[coord[:-1]] = sums.get(coord[:-1], 0) + value
-    sums = {}
-    for (y, *rest), cv in c.entries.items():
-        i, j, k, l = y
-        for upper, g in glob.get((k, l), {}).items():
-            if g:
-                key = (i, j, tuple(rest), upper)
-                sums[key] = sums.get(key, 0) + cv * g
-    return sum(1 for value in sums.values() if not value)
-
-
 def first_slot_rows(b, c):
     """How c's first upper slot meets b's uppers U.  Group c's entries by the
     quads after the first, and within a group by the first quad's (i, j) pair;
-    a pair's row is h(V) = sum_kl G(V; kl) c(ij kl ..; z) with its zeros left
-    out.  Counts the (group, U) whose L holds U at exactly one pair with a
-    nonzero row ("single") and at two or more ("merged"), and the merged sums
-    sum_ij L(U; ij) h_ij(V) that have a nonzero term and still come to 0
-    ("cancelled")."""
+    a pair's row is h(V) = sum_kl G(V; kl) c(ij kl ..; z), where G is b's
+    (state, head) marginal.  Counts the sums h(V) that have a nonzero term and
+    still come to 0 ("cancelled h"); the (group, U) whose L holds U at exactly
+    one pair with a nonzero row ("single") and at two or more ("merged"); and
+    the merged sums sum_ij L(U; ij) h_ij(V) that have a nonzero term and still
+    come to 0 ("cancelled merged")."""
     margins = {"local": {}, "global": {}}
     for coord, value in b.entries.items():
         i, j, k, l = coord[-1]
@@ -142,14 +125,16 @@ def first_slot_rows(b, c):
         i, j, k, l = y
         row = rows.setdefault((tuple(rest), (i, j)), {})
         for upper, g in margins["global"].get((k, l), {}).items():
-            row[upper] = row.get(upper, 0) + cv * g
+            if g:
+                row[upper] = row.get(upper, 0) + cv * g
+    counts = {"cancelled h": 0, "single": 0, "merged": 0, "cancelled merged": 0}
     held = {}
     for (rest, pair), row in rows.items():
+        counts["cancelled h"] += sum(1 for hv in row.values() if not hv)
         row = {v: hv for v, hv in row.items() if hv}
         for u, weight in margins["local"].get(pair, {}).items():
             if weight and row:
                 held.setdefault((rest, u), []).append({v: weight * hv for v, hv in row.items()})
-    counts = {"single": 0, "merged": 0, "cancelled": 0}
     for parts in held.values():
         if len(parts) == 1:
             counts["single"] += 1
@@ -159,7 +144,7 @@ def first_slot_rows(b, c):
         for part in parts:
             for v, term in part.items():
                 sums[v] = sums.get(v, 0) + term
-        counts["cancelled"] += sum(1 for value in sums.values() if not value)
+        counts["cancelled merged"] += sum(1 for value in sums.values() if not value)
     return counts
 
 
@@ -376,7 +361,7 @@ def test_type2_matches_the_definition(p, q, density_b, density_c, seed, signed):
     assert d.entries == brute_force_type2(b, c)
     if signed:
         # Sums over the slot's (k, l) cancel to 0 before they meet L.
-        assert cancelled_first_slot_sums(b, c) > 0
+        assert first_slot_rows(b, c)["cancelled h"] > 0
 
 
 @pytest.mark.parametrize(
@@ -392,7 +377,7 @@ def test_type2_merges_the_rows_of_an_upper_held_by_several_pairs(p, q, density_b
     rows = first_slot_rows(b, c)
     # Some U of b is held by one pair of a group, some by several, and some
     # merged sum cancels to 0 although its terms do not.
-    assert rows["single"] and rows["merged"] and rows["cancelled"], rows
+    assert rows["single"] and rows["merged"] and rows["cancelled merged"], rows
     d = type2(b, c)
     assert 0 not in d.entries.values()
     assert d.entries == brute_force_type2(b, c)
