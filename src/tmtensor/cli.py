@@ -2,11 +2,16 @@
 
 All results go to stdout as plain text, diagnostics to stderr.  Exit codes:
 0 success/PASS, 1 verification FAIL, 2 usage or parse error, 3 resource limit.
+
+The argument parser is built once per process, on the first ``main`` call,
+and reused after that: ``main(argv)`` may be called repeatedly in one process,
+and each call parses into a fresh namespace.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
@@ -151,7 +156,10 @@ def _count(minimum: int) -> Callable[[str], int]:
     return count
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser definition, built on the first call and shared after,
+    so callers must not change it."""
     parser = argparse.ArgumentParser(
         prog="tmtensor",
         description="Turing machines as exact sparse integer tensors.",
@@ -212,6 +220,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command and return its exit code.
+
+    Safe to call repeatedly in one process: the parser is shared, but each call
+    parses ``argv`` into a fresh namespace and nothing else is kept.
+    """
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from tmtensor import Check, RunStatus, initial_configuration, oracle_run, type1
-from tmtensor.cli import main
+from tmtensor.cli import build_parser, main
 
 from conftest import input_words, machine_path, machine_text
 
@@ -399,6 +399,43 @@ def test_stdout_matches_golden(argv, monkeypatch):
     monkeypatch.chdir(ROOT)
     block = golden_block(argv)
     assert block == read_golden()[block.splitlines(keepends=True)[0]]
+
+
+def test_the_parser_is_built_once_per_process():
+    assert build_parser() is build_parser()
+
+
+def test_calls_in_one_process_share_nothing_but_the_parser(tmp_path, monkeypatch):
+    # Before each golden argv, a call that exits early or sets options the
+    # golden argv leaves at their defaults: any value carried from one call
+    # to the next would change a golden block.
+    monkeypatch.chdir(ROOT)
+    m1 = "tests/machines/m1_unary_append.tm"
+    between = [
+        (["--help"], ("exited", 0)),
+        (["assoc", "--trials", "0"], ("exited", 2)),
+        (["compose", m1, "--cells", "2", "--power", "2", "--tape", "1", "--cap", "77"], ("returned", 3)),
+        (
+            ["evolve", m1, "--tape", "1 1 1 1", "--cells", "4", "--steps", "6", "--strict",
+             "--dump-dir", str(tmp_path)],
+            ("returned", 1),
+        ),
+    ]
+
+    def outcome(argv):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                return "returned", main(argv)
+            except SystemExit as exc:
+                return "exited", exc.code
+
+    golden = read_golden()
+    for n, argv in enumerate(reversed(GOLDEN_MATRIX)):
+        before, expected = between[n % len(between)]
+        assert outcome(before) == expected, before
+        block = golden_block(argv)
+        assert block == golden[block.splitlines(keepends=True)[0]], argv
+    assert (tmp_path / "B.tsv").exists()
 
 
 if __name__ == "__main__":

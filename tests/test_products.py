@@ -345,23 +345,52 @@ def test_type2_matches_brute_force(seed, signed):
 
 
 @pytest.mark.parametrize(
-    "p,q,density_b,density_c,seed,signed",
+    "p,q,density_b,density_c,seed",
     [
-        pytest.param(*case, signed, id=f"{case[0]}{case[1]}" + "-signed" * signed)
-        for signed in (False, True)
+        pytest.param(*case, id=f"{case[0]}{case[1]}-signed")
         for case in [(1, 1, 0.3, 0.3, 0), (2, 1, 0.02, 0.2, 1), (1, 2, 0.05, 0.05, 2)]
     ],
 )
-def test_type2_matches_the_definition(p, q, density_b, density_c, seed, signed):
-    b = random_operand(p, density_b, seed, signed)
-    c = random_operand(q, density_c, seed + 10, signed)
+def test_type2_matches_the_definition(p, q, density_b, density_c, seed):
+    b = random_operand(p, density_b, seed, signed=True)
+    c = random_operand(q, density_c, seed + 10, signed=True)
     d = type2(b, c)
     assert d.upper_count == 2 * p * q
     assert 0 not in d.entries.values()
     assert d.entries == brute_force_type2(b, c)
-    if signed:
-        # Sums over the slot's (k, l) cancel to 0 before they meet L.
-        assert first_slot_rows(b, c)["cancelled h"] > 0
+    # Sums over the slot's (k, l) cancel to 0 before they meet L.
+    assert first_slot_rows(b, c)["cancelled h"] > 0
+
+
+# Signed b; the seeds were picked so that some of b's marginals cancel to 0.
+BASIS_SWEEP_CASES = {
+    "11": (DIMS, 1, 1, 0.3, 0),
+    "21": (DIMS, 2, 1, 0.02, 2),
+    "12": (DIMS, 1, 2, 0.05, 37),
+    "BIG": (BIG, 1, 1, 0.05, 3),
+}
+
+
+@pytest.mark.parametrize("case", BASIS_SWEEP_CASES)
+def test_type2_matches_the_definition_on_every_basis_tensor(case):
+    # type2 is linear in c, so its values on the single-entry tensors e_y, one
+    # for every coordinate y, fix type2(b, c) for every c of that shape.
+    dims, p, q, density, seed = BASIS_SWEEP_CASES[case]
+    b = random_operand(p, density, seed, True, dims)
+    # Some L and G marginals of b cancel to 0, and some do not.
+    for lower in (lambda quad: quad[:2], lambda quad: quad[2:]):
+        sums = {}
+        for coord, value in b.entries.items():
+            key = (coord[:-1], lower(coord[-1]))
+            sums[key] = sums.get(key, 0) + value
+        assert 0 in sums.values() and any(sums.values())
+    nonzero = 0
+    for y in itertools.product(dims.iter_quads(), repeat=q + 1):
+        e_y = SparseTensor(dims, q, {y: 1})
+        d = type2(b, e_y)
+        assert d.entries == brute_force_type2(b, e_y), y
+        nonzero += not d.is_zero
+    assert nonzero
 
 
 @pytest.mark.parametrize(
