@@ -169,6 +169,10 @@ def parse_document(text: str) -> MachineFile:
         raise MachineFormatError("'symbols:' lists no symbols (the first is the blank)")
     if len(set(symbol_names)) != len(symbol_names):
         raise MachineFormatError("duplicate symbol name")
+    for key, kind in (("halt", "state"), ("input", "symbol")):
+        names = fields.get(key, [])
+        if len(set(names)) != len(names):
+            raise MachineFormatError(f"duplicate {kind} name in '{key}:'")
 
     state_of = {name: idx for idx, name in enumerate(state_names, start=1)}
     symbol_of = {name: idx for idx, name in enumerate(symbol_names)}

@@ -9,9 +9,10 @@ product merges two transition tensors into one that acts as both in turn; it
 contracts the right operand slot by slot against the left operand's local/global
 marginals, kept under one number per distinct upper sequence of the left
 operand.  Each slot's global half is summed before its local half multiplies
-out, the full Einstein sum is never expanded, and each key of a stage is built
-and stored once, with its nonzero value.  All arithmetic is exact; ``encoding``
-reads tensors back as configurations.
+out, in the pass that groups the slot; the full Einstein sum is never
+expanded, and each key of a stage is built and stored once, with its nonzero
+value.  All arithmetic is exact; ``encoding`` reads tensors back as
+configurations.
 """
 
 from __future__ import annotations
@@ -91,21 +92,27 @@ def type2(b: SparseTensor, c: SparseTensor, cap: int = DEFAULT_CAP) -> SparseTen
         sum_ij L(U_s; ij) sum_kl G(V_s; kl) c(.. ij kl ..; z)
     at the coordinate (U_1 V_1 .. U_q V_q; z), and it is computed in that
     order: for each slot, the sums h(V_s) over (k, l) are taken first, and
-    only their nonzero values multiply out against L.  Terms that merge are
-    therefore added before they expand.
+    only then multiply out against L.  Terms that merge are therefore added
+    before they expand.
 
     Each distinct block of upper groups of b's entries, a possible U or V, is
     numbered once; the marginals and every sum are keyed by these numbers.
-    Within a slot, the entries that agree off the slot form a group, and for
-    each U_s the h rows of the group's (i, j) pairs whose L holds U_s are
-    summed under V_s's number.  Keys of different groups or of different
-    (U_s, V_s) differ, so each key is built once, when its nonzero sum is
-    stored; a zero sum is never stored.
+    Within a slot, the entries that agree off the slot form a group.  One
+    pass over the stage files each entry under its group and its (i, j)
+    pair and adds its G terms into that pair's row h as it goes; then, for
+    each U_s, the h rows of the group's pairs whose L holds U_s are summed
+    under V_s's number.  A row may hold sums that came to 0: they are
+    skipped where the row is spelled out and add 0 where rows merge.  Keys
+    of different groups or of different (U_s, V_s) differ, so each key is
+    built once, when its nonzero sum is stored; a zero sum is never stored.
 
     Raises ResourceLimit, before accumulating anything, when the predicted
     number of terms of the full expansion exceeds ``cap``.  The prediction
     bounds every intermediate stage as well as the result: after slot s at
-    most sum_y prod_{t<=s} |L(ij(y_t))| |G(kl(y_t))| entries exist.
+    most sum_y prod_{t<=s} |L(ij(y_t))| |G(kl(y_t))| entries exist.  Slot
+    s's h rows hold at most sum_y |G(kl(y_s))| prod_{t<s} |L(ij(y_t))|
+    |G(kl(y_t))| sums, one per stage entry and G value, and |G(kl(y_s))| is
+    a factor of y's predicted terms, so the same bound covers them.
 
     Re-association is exact entry by entry.  Multiplying out the nested
     sums, an entry of b∘c is sum_y c(y; z) W_b(U V; y) with
@@ -162,37 +169,35 @@ def type2(b: SparseTensor, c: SparseTensor, cap: int = DEFAULT_CAP) -> SparseTen
         raise ResourceLimit(f"composition would accumulate {terms} terms, cap is {cap}")
 
     # Slot by slot, the quad at ``pos`` becomes the blocks U V.  Entries that
-    # share the quads around the slot form a group.  Per (i, j) pair of the
-    # group the G sums h[V] are taken first; then each U sums the h rows of
-    # the pairs whose L holds it.  Keys from different groups or different
-    # (U, V) differ, so each key is built once and stored once, nonzero.
+    # share the quads around the slot form a group.  One pass files each
+    # entry under its group and (i, j) pair and adds its G terms into that
+    # pair's row h[V]; then each U sums the h rows of the pairs whose L holds
+    # it.  Keys from different groups or different (U, V) differ, so each
+    # key is built once and stored once, nonzero.
     width = 2 * b.upper_count
     for pos in range(0, width * c.upper_count, width):
-        groups: dict[tuple[Coord, Coord], dict[tuple[int, int], list[tuple[list[tuple[int, int]], int]]]] = {}
+        groups: dict[tuple[Coord, Coord], dict[tuple[int, int], dict[int, int]]] = {}
         for coord, value in entries.items():
             i, j, k, l = coord[pos]
-            groups.setdefault((coord[:pos], coord[pos + 1 :]), {}).setdefault((i, j), []).append(
-                (global_index[(k, l)], value)
-            )
+            h = groups.setdefault((coord[:pos], coord[pos + 1 :]), {}).setdefault((i, j), {})
+            for n, weight in global_index[(k, l)]:
+                h[n] = h.get(n, 0) + value * weight
         # Popping frees each group as it expands, so the groups and the next
         # stage do not reach their full sizes together.
         entries = {}
         while groups:
             (prefix, rest), pairs = groups.popitem()
-            # Each row keeps its nonzero h by V's number, for merging, and
-            # spelled out as (V + rest, h[V]), for a U that only it holds.
+            # Each row keeps h by V's number, for merging, where a zero h[V]
+            # adds 0, and its nonzero h spelled out as (V + rest, h[V]), for
+            # a U that only it holds.  A row whose sums all came to 0 spells
+            # nothing.
             tails: dict[int, Coord] = {}
             rows: dict[int, list[tuple[int, dict[int, int], list[tuple[Coord, int]]]]] = {}
-            for pair, group in pairs.items():
-                h: dict[int, int] = {}
-                for glo, value in group:
-                    for n, weight in glo:
-                        h[n] = h.get(n, 0) + value * weight
-                h = {n: hv for n, hv in h.items() if hv}
-                if not h:
-                    continue
+            for pair, h in pairs.items():
                 spelled = []
                 for n, hv in h.items():
+                    if not hv:
+                        continue
                     if n not in tails:
                         tails[n] = uppers[n] + rest
                     spelled.append((tails[n], hv))

@@ -53,6 +53,20 @@ def test_simulate_parse_error(tmp_path, capsys):
     assert "start" in err
 
 
+@pytest.mark.parametrize(
+    "old,new,field",
+    [("halt: q2", "halt: q2 q2", "halt"), ("input: 1", "input: 1 1", "input")],
+    ids=["halt", "input"],
+)
+def test_simulate_refuses_a_repeated_name(tmp_path, capsys, old, new, field):
+    bad = tmp_path / "repeated.tm"
+    bad.write_text(machine_text("m1_unary_append").replace(old, new))
+    code, out, err = run(capsys, "simulate", str(bad), "--tape", "1", "--cells", "4")
+    assert code == 2
+    assert out == []
+    assert err.startswith("error:") and f"'{field}:'" in err
+
+
 def test_simulate_reads_tape_line_from_file(tmp_path, capsys):
     doc = tmp_path / "with_tape.tm"
     doc.write_text(machine_text("m1_unary_append") + "tape: 1 1\n")

@@ -60,6 +60,34 @@ def test_duplicate_symbol_name():
         parse_machine(M1_TEXT.replace("symbols: _ 1", "symbols: _ _"))
 
 
+@pytest.mark.parametrize(
+    "old,new,message",
+    [
+        ("halt: q2", "halt: q2 q2", "duplicate state name in 'halt:'"),
+        ("input: 1", "input: 1 1", "duplicate symbol name in 'input:'"),
+    ],
+    ids=["halt", "input"],
+)
+def test_duplicate_name_in_halt_or_input(old, new, message):
+    # A repeated name is refused, not merged into one.
+    with pytest.raises(MachineFormatError, match=message):
+        parse_machine(M1_TEXT.replace(old, new))
+
+
+@pytest.mark.parametrize(
+    "old,new,message",
+    [
+        ("states: q1 q2", "states:", "'states:' lists no states"),
+        ("symbols: _ 1", "symbols:", "'symbols:' lists no symbols"),
+        ("start: q1", "start: q1 q2", "'start:' must name exactly one state"),
+    ],
+    ids=["states", "symbols", "start"],
+)
+def test_header_with_the_wrong_number_of_names(old, new, message):
+    with pytest.raises(MachineFormatError, match=message):
+        parse_machine(M1_TEXT.replace(old, new))
+
+
 def test_incomplete_delta():
     text = "\n".join(l for l in M1_TEXT.splitlines() if "q1 _" not in l)
     with pytest.raises(MachineFormatError, match="no rule for"):

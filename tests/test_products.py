@@ -110,10 +110,14 @@ def first_slot_rows(b, c):
     quads after the first, and within a group by the first quad's (i, j) pair;
     a pair's row is h(V) = sum_kl G(V; kl) c(ij kl ..; z), where G is b's
     (state, head) marginal.  Counts the sums h(V) that have a nonzero term and
-    still come to 0 ("cancelled h"); the (group, U) whose L holds U at exactly
-    one pair with a nonzero row ("single") and at two or more ("merged"); and
-    the merged sums sum_ij L(U; ij) h_ij(V) that have a nonzero term and still
-    come to 0 ("cancelled merged")."""
+    still come to 0 ("cancelled h"); the (group, pair) rows with a nonzero
+    term whose every h(V) comes to 0 ("cancelled row"), and the (group, U)
+    whose L holds U at such a row and at no pair with a nonzero row
+    ("cancelled row, U alone") or at one or more ("cancelled row, U shared");
+    the (group, U) whose L holds U at exactly one pair with a nonzero row
+    ("single") and at two or more ("merged"); and the merged sums
+    sum_ij L(U; ij) h_ij(V) that have a nonzero term and still come to 0
+    ("cancelled merged")."""
     margins = {"local": {}, "global": {}}
     for coord, value in b.entries.items():
         i, j, k, l = coord[-1]
@@ -127,14 +131,24 @@ def first_slot_rows(b, c):
         for upper, g in margins["global"].get((k, l), {}).items():
             if g:
                 row[upper] = row.get(upper, 0) + cv * g
-    counts = {"cancelled h": 0, "single": 0, "merged": 0, "cancelled merged": 0}
+    counts = dict.fromkeys(
+        ("cancelled h", "cancelled row", "cancelled row, U alone", "cancelled row, U shared",
+         "single", "merged", "cancelled merged"),
+        0,
+    )
     held = {}
+    cancelled = set()
     for (rest, pair), row in rows.items():
         counts["cancelled h"] += sum(1 for hv in row.values() if not hv)
-        row = {v: hv for v, hv in row.items() if hv}
+        counts["cancelled row"] += bool(row) and not any(row.values())
+        live = {v: hv for v, hv in row.items() if hv}
         for u, weight in margins["local"].get(pair, {}).items():
-            if weight and row:
-                held.setdefault((rest, u), []).append({v: weight * hv for v, hv in row.items()})
+            if weight and live:
+                held.setdefault((rest, u), []).append({v: weight * hv for v, hv in live.items()})
+            elif weight and row:
+                cancelled.add((rest, u))
+    for key in cancelled:
+        counts["cancelled row, U shared" if key in held else "cancelled row, U alone"] += 1
     for parts in held.values():
         if len(parts) == 1:
             counts["single"] += 1
@@ -407,6 +421,26 @@ def test_type2_merges_the_rows_of_an_upper_held_by_several_pairs(p, q, density_b
     # Some U of b is held by one pair of a group, some by several, and some
     # merged sum cancels to 0 although its terms do not.
     assert rows["single"] and rows["merged"] and rows["cancelled merged"], rows
+    d = type2(b, c)
+    assert 0 not in d.entries.values()
+    assert d.entries == brute_force_type2(b, c)
+
+
+@pytest.mark.parametrize(
+    "density_b,seed,setting",
+    [
+        pytest.param(0.02, 5, "cancelled row, U shared", id="shared-5"),
+        pytest.param(0.05, 18, "cancelled row, U alone", id="alone-18"),
+    ],
+)
+def test_type2_spells_nothing_for_a_row_whose_sums_all_cancel(density_b, seed, setting):
+    b = random_operand(1, density_b, seed, signed=True)
+    c = random_operand(2, 0.2, seed + 10, signed=True)
+    rows = first_slot_rows(b, c)
+    # Some (i, j) row of a group has nonzero terms and every h(V) comes to 0;
+    # its U is held by no live row of the group ("alone"), or also by one
+    # ("shared").  The seeds were picked so that the setting occurs.
+    assert rows["cancelled row"] and rows[setting], rows
     d = type2(b, c)
     assert 0 not in d.entries.values()
     assert d.entries == brute_force_type2(b, c)
