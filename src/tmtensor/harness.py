@@ -53,6 +53,8 @@ def _random_tensor(
         raise ValueError("density must lie in (0, 1]")
     if value_bound < 1:
         raise ValueError("value_bound must be >= 1")
+    if upper_count < 0:
+        raise ValueError("upper_count must be >= 0")
     # One draw per coordinate: refuse before drawing when that is over the cap.
     draws = dims.quad_count ** (upper_count + 1)
     if draws > DEFAULT_CAP:
@@ -74,10 +76,8 @@ def random_tensor(
 
 
 def _first_difference(t1: SparseTensor, t2: SparseTensor) -> Coord | None:
-    for coord in sorted(set(t1.entries) | set(t2.entries)):
-        if t1.entries.get(coord, 0) != t2.entries.get(coord, 0):
-            return coord
-    return None
+    e1, e2 = t1.entries, t2.entries
+    return min((c for c in e1.keys() | e2.keys() if e1.get(c, 0) != e2.get(c, 0)), default=None)
 
 
 def _run(
@@ -92,27 +92,17 @@ def _run(
     returned list says whether the tensor after a applications restricts to the
     simulator's configuration at trajectory index 1 + a * stride.  The last
     value is the first application whose restriction is empty (the tensor
-    side's overflow), or None."""
+    side's overflow), or None.  Past the end of the simulation the last
+    expected tensor stands in: a halted run holds its last configuration, and
+    an overflowed run is empty off the window."""
     dims = transition.dims
     initial = initial_configuration(machine, tape, dims.cells)
     trace = oracle_run(machine, initial, stride * applications)
-    # Application a is compared with trajectory position a * stride, clamped
-    # to the last: a halted run holds its last configuration, an overflowed
-    # run is empty off the window.  Only the compared positions are encoded.
-    last = len(trace.configs) - (trace.status is not RunStatus.OVERFLOW)
-    positions = [min(a * stride, last) for a in range(applications + 1)]
-    empty = SparseTensor(dims, 0, {})
-    expected = {
-        p: encode_config(trace.configs[p], dims) if p < len(trace.configs) else empty
-        for p in set(positions)
-    }
-    # From its fixed point on, evolve repeats one tensor object: restrict
-    # each object once.
-    tensors = evolve(expected[0], transition, applications)
-    distinct = {id(a_t): a_t for a_t in tensors}
-    by_id = {key: restrict_k_nonzero(a_t) for key, a_t in distinct.items()}
-    restricted = [by_id[id(a_t)] for a_t in tensors]
-    agree = [r == expected[p] for p, r in zip(positions, restricted)]
+    expected = [encode_config(config, dims) for config in trace.configs]
+    if trace.status is RunStatus.OVERFLOW:
+        expected.append(SparseTensor(dims, 0, {}))
+    restricted = [restrict_k_nonzero(a_t) for a_t in evolve(expected[0], transition, applications)]
+    agree = [r == expected[min(a * stride, len(expected) - 1)] for a, r in enumerate(restricted)]
     overflow = next((a for a, r in enumerate(restricted) if r.is_zero), None)
     return trace, agree, overflow
 
@@ -131,11 +121,9 @@ def verify_evolution(
 
     # Past an overflow the overflow step is compared instead of the tensors.
     oracle_overflow = trace.status is RunStatus.OVERFLOW
-    if oracle_overflow:
-        agree = agree[: len(trace.configs)]
-        overflow_agree = overflow_step == len(trace.configs)
-    else:
-        overflow_agree = overflow_step is None
+    expected_step = len(trace.configs) if oracle_overflow else None
+    agree = agree[:expected_step]
+    overflow_agree = overflow_step == expected_step
     lines = [f"t={t} agree={'yes' if ok else 'no'}" for t, ok in enumerate(agree, start=1)]
     tensor = "no" if overflow_step is None else f"step {overflow_step}"
     lines.append(
@@ -154,6 +142,8 @@ def verify_power(
 ) -> list[Check]:
     """Check that each application of ``transition`` advances the simulator
     ``power`` steps, absorbing once halted and empty once off the window."""
+    if power < 1:
+        raise ValueError("power must be >= 1")
     _, agree, _ = _run(machine, tape, transition, power, steps)
     return [
         Check("compose-action", f"step={application * power}", agree[application])

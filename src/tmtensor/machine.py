@@ -110,6 +110,8 @@ def oracle_step(machine: Machine, config: Configuration) -> Configuration | RunS
 
 def oracle_run(machine: Machine, initial: Configuration, max_steps: int) -> Trace:
     """Simulate until halt, window overflow, or the step budget runs out."""
+    if max_steps < 0:
+        raise ValueError("max_steps must be >= 0")
     configs = [initial]
     status = RunStatus.STEP_LIMIT
     for _ in range(max_steps):

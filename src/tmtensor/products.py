@@ -235,6 +235,8 @@ def evolve(a1: SparseTensor, b: SparseTensor, steps: int) -> list[SparseTensor]:
     """Iterate the evolution product ``steps`` times: the tensors A_1..A_{T+1}.
     Once a product equals the tensor it came from, equal inputs give equal
     products from then on, so that tensor is repeated, not recomputed."""
+    if steps < 0:
+        raise ValueError("steps must be >= 0")
     _check_type1_operands(a1, b)
     tensors = [a1]
     for _ in range(steps):

@@ -59,9 +59,10 @@ def test_verify_evolution_zero_steps(m1):
     assert lines == ["t=1 agree=yes", "overflow oracle=no tensor=no agree=yes"]
 
 
-def test_verify_evolution_reads_each_tensor_and_configuration_once(monkeypatch, m1):
-    # m1 halts after 3 steps; evolve returns 6 distinct tensor objects and
-    # repeats the last one from its fixed point on.
+def test_verify_evolution_restricts_every_tensor_and_encodes_every_configuration(
+    monkeypatch, m1
+):
+    # m1 halts after 3 steps: 4 simulated configurations, 63 evolved tensors.
     calls = {"restrict": 0, "encode": 0}
 
     def counted(name, function):
@@ -75,9 +76,7 @@ def test_verify_evolution_reads_each_tensor_and_configuration_once(monkeypatch, 
     monkeypatch.setattr("tmtensor.harness.encode_config", counted("encode", encode_config))
     lines, check = verify_evolution(m1, ["1", "1"], encode_machine(m1, 32).tensor, 62)
     assert check.passed and len(lines) == 64
-    # One restriction per distinct tensor, one encoding per compared
-    # configuration (the first is also where evolve starts).
-    assert calls == {"restrict": 6, "encode": 4}
+    assert calls == {"restrict": 63, "encode": 4}
 
 
 def test_verify_reports_are_deterministic(increment):
@@ -99,7 +98,7 @@ def test_verify_power(m1):
     assert wrong[0].line() == "CHECK compose-action step=2 -> FAIL"
 
 
-def test_verify_power_encodes_only_the_compared_configurations(monkeypatch, bouncer):
+def test_verify_power_encodes_every_simulated_configuration(monkeypatch, bouncer):
     calls = 0
 
     def counted(*args):
@@ -111,8 +110,23 @@ def test_verify_power_encodes_only_the_compared_configurations(monkeypatch, boun
     monkeypatch.setattr("tmtensor.harness.encode_config", counted)
     checks = verify_power(bouncer, [], two_steps, 2, 3)
     assert all(check.passed for check in checks)
-    # Steps 0, 2, 4 and 6 of the six simulated are compared.
-    assert calls == 4
+    # 3 applications of the square simulate 6 steps: 7 configurations.
+    assert calls == 7
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda m1, b: verify_evolution(m1, ["1", "1"], b, -1), "max_steps must be >= 0"),
+        (lambda m1, b: verify_power(m1, ["1", "1"], b, 0, 2), "power must be >= 1"),
+        (lambda m1, b: verify_power(m1, ["1", "1"], b, -1, 2), "power must be >= 1"),
+        (lambda m1, b: random_tensor(SMALL, -1, 0.5, 3, 0), "upper_count must be >= 0"),
+    ],
+    ids=["evolution-steps", "power-0", "power-negative", "upper-count"],
+)
+def test_counts_out_of_range_are_refused(m1, call, message):
+    with pytest.raises(ValueError, match=message):
+        call(m1, encode_machine(m1, 4).tensor)
 
 
 def test_random_tensor_density_one_fills_the_space():

@@ -195,6 +195,12 @@ def test_oracle_run_zero_budget(m1):
     assert len(trace.configs) == 1
 
 
+@pytest.mark.parametrize("max_steps", [-1, -3])
+def test_oracle_run_refuses_a_negative_budget(m1, max_steps):
+    with pytest.raises(ValueError, match="max_steps must be >= 0"):
+        oracle_run(m1, Configuration((1, 0, 0, 0), head=1, state=1), max_steps)
+
+
 def test_oracle_run_halted_start(m1):
     start = Configuration((1, 0, 0, 0), head=2, state=2)
     trace = oracle_run(m1, start, 5)

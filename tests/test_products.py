@@ -646,6 +646,13 @@ def test_evolve_flags_overflow(m1):
     assert [restrict_k_nonzero(a_t).is_zero for a_t in tensors] == [False, True, True]
 
 
+@pytest.mark.parametrize("steps", [-1, -3])
+def test_evolve_refuses_a_negative_step_count(m1, steps):
+    a1 = encode_config(_initial(m1, ["1", "1"], 4), m1.dims(4))
+    with pytest.raises(ValueError, match="steps must be >= 0"):
+        evolve(a1, encode_machine(m1, 4).tensor, steps)
+
+
 def test_factor_shapes_on_characteristic_inputs(corpus):
     # While the step stays inside the window: the local factor marks exactly
     # one (symbol) per cell with value 1, and the global factor carries exactly

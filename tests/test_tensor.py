@@ -78,6 +78,13 @@ def test_equality_is_shape_and_entries():
     assert SparseTensor(DIMS, 0, {}) != SparseTensor(Dims(3, 2, 2), 0, {})
 
 
+def test_repr_is_short():
+    t = SparseTensor.from_entries(DIMS, 1, [((X[0], Y[0]), 5), ((X[0], X[0]), -2)])
+    text = repr(t)
+    assert text == "SparseTensor(cells=2, symbols=2, states=2, upper_count=1, nnz=2)"
+    assert str(X[0]) not in text  # no coordinate is spelled out
+
+
 def test_order_tracks_upper_count():
     assert SparseTensor(DIMS, 0, {}).order == 4
     assert SparseTensor(DIMS, 1, {}).order == 8
