@@ -95,6 +95,8 @@ def _run(
     side's overflow), or None.  Past the end of the simulation the last
     expected tensor stands in: a halted run holds its last configuration, and
     an overflowed run is empty off the window."""
+    if applications < 0:
+        raise ValueError("steps must be >= 0")
     dims = transition.dims
     initial = initial_configuration(machine, tape, dims.cells)
     trace = oracle_run(machine, initial, stride * applications)

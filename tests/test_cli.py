@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import os
 import shlex
@@ -6,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from tmtensor import Check, RunStatus, initial_configuration, oracle_run, type1
+from tmtensor import Check, RunStatus, initial_configuration, oracle_run, type1, type2_power
 from tmtensor.cli import build_parser, main
 
 from conftest import input_words, machine_path, machine_text
@@ -450,6 +451,81 @@ def test_calls_in_one_process_share_nothing_but_the_parser(tmp_path, monkeypatch
         block = golden_block(argv)
         assert block == golden[block.splitlines(keepends=True)[0]], argv
     assert (tmp_path / "B.tsv").exists()
+
+
+@contextlib.contextmanager
+def collector(enabled):
+    """Run the block with the cyclic collector on or off, then restore it."""
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        yield
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+def test_a_command_runs_with_the_collector_paused(capsys, monkeypatch):
+    seen = []
+
+    def recorded(*args, **kwargs):
+        seen.append(gc.isenabled())
+        return type2_power(*args, **kwargs)
+
+    monkeypatch.setattr("tmtensor.cli.type2_power", recorded)
+    with collector(True):
+        code, _, _ = run(capsys, "compose", M1, "--cells", "4", "--power", "2")
+        assert (code, seen) == (0, [False])
+        assert gc.isenabled()
+
+
+def _fail(*args, **kwargs):
+    raise RuntimeError("type2_power failed")
+
+
+# Every way out of main: its four exit codes, argparse's SystemExit, and an
+# exception that no handler in main catches.
+EXITS = {
+    "return-0": (["simulate", M1, "--tape", "1 1", "--cells", "4"], ("returned", 0)),
+    "return-1": (["evolve", M1, "--tape", "1 1 1 1", "--cells", "4", "--strict"], ("returned", 1)),
+    "return-2": (["simulate", "no/such/file.tm"], ("returned", 2)),
+    "return-3": (
+        ["compose", M1, "--cells", "2", "--power", "2", "--tape", "1", "--cap", "77"],
+        ("returned", 3),
+    ),
+    "help": (["--help"], ("exited", 0)),
+    "usage-error": (["assoc", "--trials", "0"], ("exited", 2)),
+    "exception": (["compose", M1, "--cells", "2", "--power", "2"], ("raised", "type2_power failed")),
+}
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("case", EXITS)
+def test_main_hands_back_the_collector_state_it_found(monkeypatch, case, enabled):
+    argv, expected = EXITS[case]
+    if case == "exception":
+        monkeypatch.setattr("tmtensor.cli.type2_power", _fail)
+    with collector(enabled), contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            outcome = "returned", main(argv)
+        except SystemExit as exc:
+            outcome = "exited", exc.code
+        except RuntimeError as exc:
+            outcome = "raised", str(exc)
+        assert outcome == expected
+        assert gc.isenabled() is enabled
+
+
+@pytest.mark.parametrize("argv", GOLDEN_MATRIX, ids=shlex.join)
+def test_no_command_leaves_cycles(argv, monkeypatch):
+    # Why the pause costs no memory: what a command leaves is freed by
+    # reference counting alone, so a full collection after it finds nothing.
+    monkeypatch.chdir(ROOT)
+    build_parser()
+    with collector(False):
+        gc.collect()
+        golden_block(argv)
+        assert gc.collect() == 0
 
 
 if __name__ == "__main__":

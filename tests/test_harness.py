@@ -117,12 +117,13 @@ def test_verify_power_encodes_every_simulated_configuration(monkeypatch, bouncer
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda m1, b: verify_evolution(m1, ["1", "1"], b, -1), "max_steps must be >= 0"),
+        (lambda m1, b: verify_evolution(m1, ["1", "1"], b, -1), "^steps must be >= 0"),
+        (lambda m1, b: verify_power(m1, ["1", "1"], b, 2, -1), "^steps must be >= 0"),
         (lambda m1, b: verify_power(m1, ["1", "1"], b, 0, 2), "power must be >= 1"),
         (lambda m1, b: verify_power(m1, ["1", "1"], b, -1, 2), "power must be >= 1"),
         (lambda m1, b: random_tensor(SMALL, -1, 0.5, 3, 0), "upper_count must be >= 0"),
     ],
-    ids=["evolution-steps", "power-0", "power-negative", "upper-count"],
+    ids=["evolution-steps", "power-steps", "power-0", "power-negative", "upper-count"],
 )
 def test_counts_out_of_range_are_refused(m1, call, message):
     with pytest.raises(ValueError, match=message):
