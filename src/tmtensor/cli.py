@@ -44,7 +44,7 @@ from .machine import (
 # type1 stays bound here although no command calls it: perfbench's tracer test
 # checks that every module binding of type1 is wrapped, this one included.
 from .products import evolve, type1, type2_power  # noqa: F401
-from .tensor import Dims
+from .tensor import Dims, SparseTensor
 
 
 def _config_line(machine: Machine, t: int, config: Configuration) -> str:
@@ -59,6 +59,16 @@ def _load(args: argparse.Namespace) -> tuple[Machine, list[str] | None]:
     if args.tape is not None:
         return doc.machine, args.tape.split()
     return doc.machine, None if doc.tape is None else list(doc.tape)
+
+
+def _load_encoded(args: argparse.Namespace) -> tuple[Machine, list[str] | None, SparseTensor]:
+    """``_load``, then the machine's transition tensor at ``--cells``; the edge
+    entries the window drops are reported on stderr."""
+    machine, tokens = _load(args)
+    b, dropped = encode_machine(machine, args.cells)
+    if dropped:
+        print(format_dropped(dropped), file=sys.stderr)
+    return machine, tokens, b
 
 
 def _print_checks(checks: Iterable[Check]) -> int:
@@ -81,11 +91,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_evolve(args: argparse.Namespace) -> int:
-    machine, tokens = _load(args)
-    b, dropped = encode_machine(machine, args.cells)
+    machine, tokens, b = _load_encoded(args)
     initial = initial_configuration(machine, tokens or [], args.cells)
-    if dropped:
-        print(format_dropped(dropped), file=sys.stderr)
     tensors = evolve(encode_config(initial, b.dims), b, args.steps)
 
     # The first empty restriction is where the machine left the window.
@@ -117,18 +124,14 @@ def cmd_evolve(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    machine, tokens = _load(args)
-    b, _ = encode_machine(machine, args.cells)
+    machine, tokens, b = _load_encoded(args)
     lines, check = verify_evolution(machine, tokens or [], b, args.steps)
     print("\n".join(lines))
     return _print_checks([check])
 
 
 def cmd_compose(args: argparse.Namespace) -> int:
-    machine, tokens = _load(args)
-    b, dropped = encode_machine(machine, args.cells)
-    if dropped:
-        print(format_dropped(dropped), file=sys.stderr)
+    machine, tokens, b = _load_encoded(args)
     composed = type2_power(b, args.power, cap=args.cap)
     print(f"power={args.power} upper={composed.upper_count} nnz={composed.nnz}")
     if tokens is None:
@@ -241,12 +244,9 @@ def main(argv: list[str] | None = None) -> int:
     gc.disable()
     try:
         return args.func(args)
-    except ResourceLimit as exc:
+    except (ResourceLimit, MachineFormatError, TensorError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (MachineFormatError, TensorError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, ResourceLimit) else 2
     finally:
         if was_enabled:
             gc.enable()

@@ -95,15 +95,15 @@ def _run(
     side's overflow), or None.  Past the end of the simulation the last
     expected tensor stands in: a halted run holds its last configuration, and
     an overflowed run is empty off the window."""
-    if applications < 0:
-        raise ValueError("steps must be >= 0")
     dims = transition.dims
     initial = initial_configuration(machine, tape, dims.cells)
+    expected = [encode_config(initial, dims)]
+    # Evolve first: its refusal of a negative count names ``steps``, as callers do.
+    restricted = [restrict_k_nonzero(a_t) for a_t in evolve(expected[0], transition, applications)]
     trace = oracle_run(machine, initial, stride * applications)
-    expected = [encode_config(config, dims) for config in trace.configs]
+    expected += [encode_config(config, dims) for config in trace.configs[1:]]
     if trace.status is RunStatus.OVERFLOW:
         expected.append(SparseTensor(dims, 0, {}))
-    restricted = [restrict_k_nonzero(a_t) for a_t in evolve(expected[0], transition, applications)]
     agree = [r == expected[min(a * stride, len(expected) - 1)] for a, r in enumerate(restricted)]
     overflow = next((a for a, r in enumerate(restricted) if r.is_zero), None)
     return trace, agree, overflow

@@ -164,14 +164,10 @@ def parse_document(text: str) -> MachineFile:
         raise MachineFormatError("'states:' lists no states")
     if RESERVED_STATE in state_names:
         raise MachineFormatError(f"state name {RESERVED_STATE!r} is reserved")
-    if len(set(state_names)) != len(state_names):
-        raise MachineFormatError("duplicate state name")
     symbol_names = fields["symbols"]
     if not symbol_names:
         raise MachineFormatError("'symbols:' lists no symbols (the first is the blank)")
-    if len(set(symbol_names)) != len(symbol_names):
-        raise MachineFormatError("duplicate symbol name")
-    for key, kind in (("halt", "state"), ("input", "symbol")):
+    for key, kind in (("states", "state"), ("symbols", "symbol"), ("halt", "state"), ("input", "symbol")):
         names = fields.get(key, [])
         if len(set(names)) != len(names):
             raise MachineFormatError(f"duplicate {kind} name in '{key}:'")
@@ -199,7 +195,7 @@ def parse_document(text: str) -> MachineFile:
     else:
         input_symbols = frozenset(range(1, len(symbol_names)))
 
-    delta: dict[tuple[int, int], Rule] = {}
+    rows: dict[tuple[int, int], Rule] = {}
     for lineno, tokens in rules:
         if len(tokens) != 6 or tokens[2] != "->":
             raise MachineFormatError(
@@ -212,6 +208,8 @@ def parse_document(text: str) -> MachineFile:
         if tokens[5] not in _MOVES:
             raise MachineFormatError(f"line {lineno}: move must be L, R, or S, got {tokens[5]!r}")
         move = _MOVES[tokens[5]]
+        if (src_symbol, src_state) in rows:
+            raise MachineFormatError(f"line {lineno}: duplicate rule for ({tokens[0]}, {tokens[1]})")
         if src_state in halt:
             # Documentation row only; must restate the absorbing behaviour.
             if dst_state != src_state or dst_symbol != src_symbol or move != 0:
@@ -219,18 +217,15 @@ def parse_document(text: str) -> MachineFile:
                     f"line {lineno}: halt-state rows are documentation and must read "
                     f"'{tokens[0]} {tokens[1]} -> {tokens[0]} {tokens[1]} S'"
                 )
-            continue
-        if move == 0:
+        elif move == 0:
             raise MachineFormatError(f"line {lineno}: move 'S' is only allowed on halt-state rows")
-        if (src_symbol, src_state) in delta:
-            raise MachineFormatError(f"line {lineno}: duplicate rule for ({tokens[0]}, {tokens[1]})")
-        delta[(src_symbol, src_state)] = (dst_symbol, dst_state, move)
+        rows[(src_symbol, src_state)] = (dst_symbol, dst_state, move)
 
     for k in range(1, len(state_names) + 1):
         if k in halt:
             continue
         for j in range(len(symbol_names)):
-            if (j, k) not in delta:
+            if (j, k) not in rows:
                 raise MachineFormatError(
                     f"no rule for state {state_names[k - 1]!r} reading {symbol_names[j]!r}"
                 )
@@ -240,7 +235,7 @@ def parse_document(text: str) -> MachineFile:
         symbols=tuple(symbol_names),
         halt_states=halt,
         input_symbols=input_symbols,
-        delta=delta,
+        delta={jk: rule for jk, rule in rows.items() if jk[1] not in halt},  # documentation left out
     )
     tape = fields.get("tape")
     if tape is not None:

@@ -185,6 +185,61 @@ def test_verify_parse_failure_exit(tmp_path, capsys):
     assert code == 2
 
 
+# At window 3 the bouncer loses four edge entries: qb's left moves at cell 1
+# and qa's right moves at cell 3.
+BOUNCER_DROPPED = (
+    "dropped: i=1 j=0 k=2\n"
+    "dropped: i=1 j=1 k=2\n"
+    "dropped: i=3 j=0 k=1\n"
+    "dropped: i=3 j=1 k=1\n"
+)
+BOUNCER_STDOUT = {
+    "evolve": [
+        "t=1 state=qa head=1 tape=1 _ _",
+        "t=1 nnz=3 status=ok",
+        "t=2 state=qb head=2 tape=1 _ _",
+        "t=2 nnz=6 status=ok",
+        "t=3 state=qa head=1 tape=1 1 _",
+        "t=3 nnz=6 status=ok",
+        "t=4 state=qb head=2 tape=1 1 _",
+        "t=4 nnz=6 status=ok",
+        "status=step-limit",
+    ],
+    "verify": [
+        "t=1 agree=yes",
+        "t=2 agree=yes",
+        "t=3 agree=yes",
+        "t=4 agree=yes",
+        "overflow oracle=no tensor=no agree=yes",
+        "CHECK evolution -> PASS",
+    ],
+    "compose": [
+        "power=2 upper=2 nnz=256",
+        "CHECK compose-action step=2 -> PASS",
+        "CHECK compose-action step=4 -> PASS",
+        "CHECK compose-action step=6 -> PASS",
+    ],
+}
+
+
+@pytest.mark.parametrize("command", list(BOUNCER_STDOUT))
+def test_every_machine_command_reports_dropped_entries(capsys, command):
+    bouncer = str(machine_path("bouncer"))
+    code, out, err = run(capsys, command, bouncer, "--tape", "1", "--cells", "3", "--steps", "3")
+    assert code == 0
+    assert err == BOUNCER_DROPPED
+    assert out == BOUNCER_STDOUT[command]
+
+
+def test_a_repeated_halt_documentation_row_is_refused(tmp_path, capsys):
+    bad = tmp_path / "repeated_row.tm"
+    bad.write_text(machine_text("m1_unary_append") + "delta: q2 _ -> q2 _ S\n" * 2)
+    code, out, err = run(capsys, "simulate", str(bad), "--tape", "1", "--cells", "4")
+    assert code == 2
+    assert out == []
+    assert err.startswith("error:") and "duplicate rule for (q2, _)" in err
+
+
 def test_compose_power_two_action(capsys, corpus):
     code, out, _ = run(
         capsys, "compose", M1, "--tape", "1 1", "--cells", "4", "--power", "2", "--steps", "2"

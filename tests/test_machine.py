@@ -97,6 +97,9 @@ def test_incomplete_delta():
 def test_duplicate_rule():
     with pytest.raises(MachineFormatError, match="duplicate rule for"):
         parse_machine(M1_TEXT + "delta: q1 1 -> q2 1 L\n")
+    # A halt documentation row meets the same check.
+    with pytest.raises(MachineFormatError, match=r"line 10: duplicate rule for \(q2, _\)"):
+        parse_machine(M1_TEXT + "delta: q2 _ -> q2 _ S\n" * 2)
 
 
 def test_unknown_tokens():
