@@ -11,7 +11,6 @@ from .encoding import (
     decode_config,
     encode_config,
     encode_machine,
-    format_dropped,
     restrict_k_nonzero,
 )
 from .errors import (
@@ -79,7 +78,6 @@ __all__ = [
     "evolve",
     "extend_delta",
     "factors",
-    "format_dropped",
     "initial_configuration",
     "machine_to_text",
     "mixed_assoc_trial",

@@ -28,7 +28,6 @@ from .encoding import (
     decode_config,
     encode_config,
     encode_machine,
-    format_dropped,
     restrict_k_nonzero,
 )
 from .errors import DEFAULT_CAP, MachineFormatError, ResourceLimit, TensorError
@@ -66,8 +65,8 @@ def _load_encoded(args: argparse.Namespace) -> tuple[Machine, list[str] | None, 
     entries the window drops are reported on stderr."""
     machine, tokens = _load(args)
     b, dropped = encode_machine(machine, args.cells)
-    if dropped:
-        print(format_dropped(dropped), file=sys.stderr)
+    for i, j, k in dropped:
+        print(f"dropped: i={i} j={j} k={k}", file=sys.stderr)
     return machine, tokens, b
 
 

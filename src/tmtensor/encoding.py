@@ -98,7 +98,3 @@ def restrict_k_nonzero(a: SparseTensor) -> SparseTensor:
         raise TensorError("restriction applies to configuration tensors (upper count 0)")
     kept = {coord: value for coord, value in a.entries.items() if coord[0][2] != 0}
     return SparseTensor(a.dims, 0, kept)
-
-
-def format_dropped(dropped: list[tuple[int, int, int]]) -> str:
-    return "\n".join(f"dropped: i={i} j={j} k={k}" for i, j, k in dropped)

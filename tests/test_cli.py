@@ -356,15 +356,34 @@ def test_assoc_resource_limit(capsys):
     assert "error" in err
 
 
-def test_assoc_cap_bounds_the_terms_of_both_slots(capsys):
-    # With q = 2 the cap counts the terms of both of c's slots: this trial's
-    # composition predicts 363,657 of them.
-    argv = ["assoc", "--p", "1", "--q", "2", "--trials", "1", "--density", "0.1", "--seed", "1"]
-    code, out, err = run(capsys, *argv, "--cap", "363656")
+# Per case: the argv, the terms its composition predicts, the stderr lines
+# before the refusal, and the stdout once the cap admits exactly those terms.
+CAP_BOUNDARIES = {
+    # m1's square at window 2, which drops the two right-edge moves
+    "m1-square": (
+        ["compose", M1, "--cells", "2", "--power", "2", "--tape", "1"],
+        78,
+        "dropped: i=2 j=0 k=1\ndropped: i=2 j=1 k=1\n",
+        ["power=2 upper=2 nnz=78", "CHECK compose-action step=2 -> PASS"],
+    ),
+    # with q = 2 the cap counts the terms of both of c's slots
+    "assoc-two-slots": (
+        ["assoc", "--p", "1", "--q", "2", "--trials", "1", "--density", "0.1", "--seed", "1"],
+        363657,
+        "",
+        ["CHECK mixed-assoc seed=1 -> PASS"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", CAP_BOUNDARIES)
+def test_the_cap_bounds_the_terms_of_a_square_and_of_both_slots(capsys, case):
+    argv, terms, dropped, passed = CAP_BOUNDARIES[case]
+    code, out, err = run(capsys, *argv, "--cap", str(terms - 1))
     assert (code, out) == (3, [])
-    assert err == "error: composition would accumulate 363657 terms, cap is 363656\n"
-    code, out, _ = run(capsys, *argv, "--cap", "363657")
-    assert (code, out) == (0, ["CHECK mixed-assoc seed=1 -> PASS"])
+    assert err == f"{dropped}error: composition would accumulate {terms} terms, cap is {terms - 1}\n"
+    code, out, _ = run(capsys, *argv, "--cap", str(terms))
+    assert (code, out) == (0, passed)
 
 
 def test_usage_error_exit_code(capsys):
@@ -406,7 +425,9 @@ def test_commands_are_deterministic(capsys):
 
 
 # The stdout contract: a fixed matrix of invocations whose stdout and exit code
-# must match tests/golden/cli.txt byte for byte.  Regenerate the file with
+# must match tests/golden/cli.txt byte for byte.  These tests check it
+# in-process; CI replays every block, read with read_golden, through the
+# installed script and the module entry point.  Regenerate the file with
 # `PYTHONPATH=src python tests/test_cli.py` from the repository root, and only
 # when an output change is intended.
 ROOT = Path(__file__).resolve().parent.parent

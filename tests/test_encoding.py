@@ -11,7 +11,6 @@ from tmtensor import (
     encode_config,
     encode_machine,
     extend_delta,
-    format_dropped,
     initial_configuration,
     parse_machine,
     restrict_k_nonzero,
@@ -207,10 +206,6 @@ def test_encode_machine_m1_condition_entries(m1):
     assert all(coord[0][2] != 0 for coord in tensor.entries)
     # right-edge moves are dropped and reported
     assert dropped == [(4, 0, 1), (4, 1, 1)]
-    assert format_dropped(dropped).splitlines() == [
-        "dropped: i=4 j=0 k=1",
-        "dropped: i=4 j=1 k=1",
-    ]
 
 
 def test_encode_machine_is_zero_one(corpus):
