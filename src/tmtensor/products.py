@@ -3,8 +3,8 @@
 The evolution product contracts a configuration tensor against a transition
 tensor and factors exactly into an outer product: a local factor over
 (cell, symbol) and a global factor over (state, head).  One scan of the
-transition tensor sums both, reading the configuration through a quad-keyed map
-and skipping an entry at its first upper quad that misses.  The composition
+transition tensor sums both, reading the configuration through a quad-keyed map;
+an entry whose first upper quad misses costs one membership test.  The composition
 product merges two transition tensors into one that acts as both in turn; it
 contracts the right operand slot by slot against the left operand's local/global
 marginals, kept under one number per distinct upper sequence of the left
@@ -33,19 +33,23 @@ def _check_type1_operands(a: SparseTensor, b: SparseTensor) -> None:
 
 
 def factors(a: SparseTensor, b: SparseTensor) -> tuple[PairMap, PairMap]:
-    """One pass over b, reading a through a quad-keyed map built once per call;
-    an entry of b is skipped at its first upper quad that a lacks.  The local
-    factor keeps the lower (cell, symbol) pair and the global factor the lower
-    (state, head) pair, each summing over the other pair.  Zero sums are left out."""
+    """One pass over b's keys, reading a's nonzero entries through a quad-keyed
+    map built once per call; an empty map reads nothing of b.  An entry of b
+    whose first upper quad a lacks costs one membership test; its value is read
+    only on a hit.  The local factor keeps the lower (cell, symbol) pair and the
+    global factor the lower (state, head) pair, each summing over the other
+    pair.  Zero sums are left out."""
     _check_type1_operands(a, b)
     local: PairMap = {}
     glob: PairMap = {}
-    lookup = {quad: value for (quad,), value in a.entries.items()}
-    for coord, term in b.entries.items():
-        value = lookup.get(coord[0])
-        if not value:
+    lookup = {quad: value for (quad,), value in a.entries.items() if value}
+    if not lookup:
+        return local, glob
+    entries = b.entries
+    for coord in entries:
+        if coord[0] not in lookup:
             continue
-        term *= value
+        term = entries[coord] * lookup[coord[0]]
         for quad in coord[1:-1]:
             value = lookup.get(quad)
             if not value:

@@ -1,19 +1,26 @@
-"""Differential testing on random machines.
+"""Differential testing against the simulator, on two finite domains and on
+random machines.
 
-A seeded generator draws total deterministic machines (1-3 real states, some
-of them halting, 2-3 symbols, L/R moves) with a window of 2-5 cells and a
-random input word.  Left alone, almost every draw halts, so draws are kept
-per simulator status until each status has its quota.  Every public path must
-then agree with the simulator on every case.
+Every machine of the two smallest classes (one or two real states, two
+symbols) is run at windows 3 and 4.  Every configuration of a window is
+advanced by one application of a corpus machine's tensor or of its square.
+A seeded generator draws total deterministic machines from the larger classes
+(1-3 real states, some of them halting, 2-3 symbols, L/R moves) with a window
+of 2-5 cells and a random input word.  Left alone, almost every draw halts, so
+draws are kept per simulator status until each status has its quota.  Every
+public path must then agree with the simulator on every case.
 """
 
+import itertools
 from random import Random
 
 import pytest
 
 from tmtensor import (
+    Configuration,
     Machine,
     RunStatus,
+    SparseTensor,
     audit_nnz,
     encode_config,
     encode_machine,
@@ -30,28 +37,48 @@ from tmtensor import (
 )
 from tmtensor.cli import main
 
+from conftest import machine_text
+
 SEED = 2024
 PER_STATUS = 60
 MAX_DRAWS = 20_000
+# The classes of n real states and m + 1 symbols that are checked machine by
+# machine, with their sizes; random draws come from the other classes.
+ENUMERATED = {(1, 1): 16, (2, 1): 4_160}
+DRAWN = [(n, m) for n in (1, 2, 3) for m in (1, 2) if (n, m) not in ENUMERATED]
+
+
+def make_machine(n, m, halt, delta):
+    return Machine(
+        states=tuple(f"q{k}" for k in range(1, n + 1)),
+        symbols=("_", "1", "2")[: m + 1],
+        halt_states=frozenset(halt),
+        input_symbols=frozenset(range(1, m + 1)),
+        delta=delta,
+    )
 
 
 def random_machine(rng):
-    n = rng.randint(1, 3)
-    m = rng.randint(1, 2)
-    halt = frozenset(k for k in range(2, n + 1) if rng.random() < 0.5)
+    n, m = rng.choice(DRAWN)
+    halt = [k for k in range(2, n + 1) if rng.random() < 0.5]
     delta = {
         (j, k): (rng.randrange(m + 1), rng.randint(1, n), rng.choice((-1, 1)))
         for k in range(1, n + 1)
         if k not in halt
         for j in range(m + 1)
     }
-    return Machine(
-        states=tuple(f"q{k}" for k in range(1, n + 1)),
-        symbols=("_", "1", "2")[: m + 1],
-        halt_states=halt,
-        input_symbols=frozenset(range(1, m + 1)),
-        delta=delta,
-    )
+    return make_machine(n, m, halt, delta)
+
+
+def every_machine(n, m):
+    """Every machine of the class: each non-start state halts or not, and each
+    rule of a running state writes any symbol, enters any state and moves L or R."""
+    rules = list(itertools.product(range(m + 1), range(1, n + 1), (-1, 1)))
+    for size in range(n):
+        for halt in itertools.combinations(range(2, n + 1), size):
+            keys = [(j, k) for k in range(1, n + 1) if k not in halt for j in range(m + 1)]
+            for picks in itertools.product(rules, repeat=len(keys)):
+                yield make_machine(n, m, halt, dict(zip(keys, picks)))
 
 
 def draw_cases():
@@ -82,6 +109,85 @@ def test_every_status_is_covered(cases):
     for *_, status in cases:
         counts[status] += 1
     assert all(count >= 50 for count in counts.values()), counts
+    assert {(machine.n, machine.m) for machine, *_ in cases} == set(DRAWN)
+
+
+@pytest.mark.parametrize("n,m", list(ENUMERATED))
+def test_every_small_machine_matches_the_simulator(n, m):
+    machines = list(every_machine(n, m))
+    assert len(machines) == ENUMERATED[(n, m)]
+    for machine in machines:
+        for cells in (3, 4):
+            encoding = encode_machine(machine, cells)
+            assert audit_nnz(machine, encoding).passed, (machine_to_text(machine), cells)
+            for tape in ([], ["1"], ["1", "1"]):
+                lines, check = verify_evolution(machine, tape, encoding.tensor, 2 * cells + 2)
+                assert check.passed, (machine_to_text(machine), cells, tape, lines)
+
+
+def every_configuration(machine, cells):
+    for tape in itertools.product(range(machine.m + 1), repeat=cells):
+        for head in range(1, cells + 1):
+            for state in range(1, machine.n + 1):
+                yield Configuration(tape, head, state)
+
+
+def first_window_failure(machine, transition, power):
+    """The first configuration c of the transition tensor's window whose
+    restricted product ``type1(encode_config(c), transition)`` is not the
+    encoding of c's configuration ``power`` steps later, or None.  A halted
+    state holds its configuration, and a run that leaves the window expects the
+    empty tensor.  With none found, every run in the window agrees at every
+    step by induction: the transition tensor reads no upper quad with state
+    slot 0, and off that slot each evolved tensor is a configuration's or
+    empty."""
+    dims = transition.dims
+    empty = SparseTensor(dims, 0, {})
+    for config in every_configuration(machine, dims.cells):
+        trace = oracle_run(machine, config, power)
+        if trace.status is RunStatus.OVERFLOW:
+            expected = empty
+        else:
+            expected = encode_config(trace.configs[-1], dims)
+        if restrict_k_nonzero(type1(encode_config(config, dims), transition)) != expected:
+            return config
+    return None
+
+
+# (corpus machine, window, power of its tensor).
+WINDOW_CASES = [
+    ("m1_unary_append", 8, 1),
+    ("bouncer", 8, 1),
+    ("binary_increment", 5, 1),
+    ("m1_unary_append", 3, 2),
+    ("bouncer", 3, 2),
+    ("binary_increment", 3, 2),
+]
+
+
+def window_case(name, cells, power):
+    machine = parse_machine(machine_text(name))
+    return machine, type2_power(encode_machine(machine, cells).tensor, power)
+
+
+@pytest.mark.parametrize("name,cells,power", WINDOW_CASES)
+def test_every_configuration_of_the_window_advances(name, cells, power):
+    machine, transition = window_case(name, cells, power)
+    assert first_window_failure(machine, transition, power) is None
+
+
+@pytest.mark.parametrize("name,cells,power", WINDOW_CASES)
+def test_the_window_check_catches_a_missing_active_entry(name, cells, power):
+    # An active entry reads the head cell in each upper group; every
+    # configuration with that head, state and symbol reads it.
+    machine, transition = window_case(name, cells, power)
+    active = min(
+        coord for coord in transition.entries
+        if len(set(coord[:-1])) == 1 and coord[0][0] == coord[0][3]
+    )
+    entries = {coord: v for coord, v in transition.entries.items() if coord != active}
+    faulty = SparseTensor(transition.dims, transition.upper_count, entries)
+    assert first_window_failure(machine, faulty, power) is not None
 
 
 def test_machine_text_round_trips(cases):

@@ -172,11 +172,37 @@ def test_factors_on_m1(m1):
     )
 
 
+class CountedEntries(dict):
+    """A tensor's entries that count how often they are iterated."""
+
+    iterations = 0
+
+    def __iter__(self):
+        self.iterations += 1
+        return super().__iter__()
+
+    def keys(self):
+        self.iterations += 1
+        return super().keys()
+
+    def values(self):
+        self.iterations += 1
+        return super().values()
+
+    def items(self):
+        self.iterations += 1
+        return super().items()
+
+
 def test_factors_zero_configuration(m1):
+    # type1(0, b) = 0 for every b, so no entry of b is read.
     dims = m1.dims(4)
-    b = encode_machine(m1, 4).tensor
+    entries = CountedEntries(encode_machine(m1, 4).tensor.entries)
+    b = SparseTensor(dims, 1, entries)
     zero = SparseTensor(dims, 0, {})
     assert factors(zero, b) == ({}, {})
+    assert type1(zero, b).is_zero
+    assert entries.iterations == 0
 
 
 def test_factors_single_entry():
@@ -296,6 +322,32 @@ def test_type1_matches_brute_force(p, seed, signed):
     if signed and p >= 3:  # these seeds were picked so that sums cancel
         assert cancelled_factor_sums(a, b)
     assert type1(a, b).entries == brute_force_type1(a, b)
+
+
+def with_zeros(t, coords):
+    """``t`` plus an explicitly stored 0 at each coordinate it lacks."""
+    return SparseTensor(t.dims, t.upper_count, {**dict.fromkeys(coords, 0), **t.entries})
+
+
+@pytest.mark.parametrize("p,seed", [(1, 0), (2, 2), (4, 7)])
+def test_explicit_zero_entries_change_no_factor(p, seed):
+    a, b = type1_operands(p, seed, signed=True)
+    support = [quad for (quad,) in a.entries]
+    a0 = with_zeros(a, [(quad,) for quad in a.dims.iter_quads()])
+    # Stored zeros of b on a's support reach the sums; a's stored zeros sit at
+    # the first upper quad of some entry of b, where the scan tests membership.
+    b0 = with_zeros(b, [(quad,) * p + (lower,) for quad in support for lower in b.dims.iter_quads()])
+    assert any((coord[0],) not in a.entries for coord in b.entries)
+    assert a0.nnz == a.dims.quad_count and b0.nnz > b.nnz
+    expected = factors(a, b)
+    for left, right in ((a0, b), (a, b0), (a0, b0)):
+        assert factors(left, right) == expected
+        assert type1(left, right) == type1(a, b)
+    # A left operand whose every stored value is 0 reads nothing of b.
+    entries = CountedEntries(b0.entries)
+    zeros = SparseTensor(a.dims, 0, dict.fromkeys(a0.entries, 0))
+    assert factors(zeros, SparseTensor(b.dims, p, entries)) == ({}, {})
+    assert entries.iterations == 0
 
 
 def scaled(t, factor):
@@ -641,9 +693,13 @@ def test_evolve_halted_start_is_stationary(m1):
 def test_evolve_flags_overflow(m1):
     dims = m1.dims(4)
     edge = Configuration((1, 1, 1, 1), head=4, state=1)
-    b = encode_machine(m1, 4).tensor
-    tensors = evolve(encode_config(edge, dims), b, 2)
-    assert [restrict_k_nonzero(a_t).is_zero for a_t in tensors] == [False, True, True]
+    entries = CountedEntries(encode_machine(m1, 4).tensor.entries)
+    tensors = evolve(encode_config(edge, dims), SparseTensor(dims, 1, entries), 3)
+    assert [restrict_k_nonzero(a_t).is_zero for a_t in tensors] == [False, True, True, True]
+    # A_2 holds only slot-0 entries, which B never reads, so A_3 is empty and
+    # A_4 comes from it without a scan of B.
+    assert [a_t.is_zero for a_t in tensors] == [False, False, True, True]
+    assert entries.iterations == 2
 
 
 @pytest.mark.parametrize("steps", [-1, -3])
