@@ -92,11 +92,20 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_evolve(args: argparse.Namespace) -> int:
     machine, tokens, b = _load_encoded(args)
     initial = initial_configuration(machine, tokens or [], args.cells)
-    tensors = evolve(encode_config(initial, b.dims), b, args.steps)
+    tensors = enumerate(evolve(encode_config(initial, b.dims), b, args.steps), start=1)
+    dump_dir = None if args.dump_dir is None else Path(args.dump_dir)
+    if dump_dir is not None:
+        dump_dir.mkdir(parents=True, exist_ok=True)
+        (dump_dir / "B.tsv").write_text(b.to_text())
+
+    def dump(t: int, a_t: SparseTensor) -> None:
+        if dump_dir is not None:
+            (dump_dir / f"A_{t}.tsv").write_text(a_t.to_text())
 
     # The first empty restriction is where the machine left the window.
     status = RunStatus.STEP_LIMIT
-    for t, a_t in enumerate(tensors, start=1):
+    for t, a_t in tensors:
+        dump(t, a_t)
         restricted = restrict_k_nonzero(a_t)
         if restricted.is_zero:
             print(f"t={t} nnz={a_t.nnz} status=overflow")
@@ -111,12 +120,10 @@ def cmd_evolve(args: argparse.Namespace) -> int:
             break
     print(f"status={status.value}")
 
-    if args.dump_dir is not None:
-        dump_dir = Path(args.dump_dir)
-        dump_dir.mkdir(parents=True, exist_ok=True)
-        (dump_dir / "B.tsv").write_text(b.to_text())
-        for t, a_t in enumerate(tensors, start=1):
-            (dump_dir / f"A_{t}.tsv").write_text(a_t.to_text())
+    # Multiplying stops at the halt or overflow line; only a dump reads on.
+    if dump_dir is not None:
+        for t, a_t in tensors:
+            dump(t, a_t)
     if args.strict and status is RunStatus.OVERFLOW:
         return 1
     return 0

@@ -79,10 +79,11 @@ def encode_machine(machine: Machine, cells: int) -> MachineEncoding:
     dropped: list[tuple[int, int, int]] = []
     for i1 in range(1, cells + 1):
         for j1 in range(dims.symbols):
+            # Each parked lower quad is built once and shared by the n states k1.
+            parked = [(l1, (i1, j1, 0, l1)) for l1 in range(1, cells + 1) if l1 != i1]
             for k1 in range(1, dims.states):
-                for l1 in range(1, cells + 1):
-                    if l1 != i1:
-                        entries[((i1, j1, k1, l1), (i1, j1, 0, l1))] = 1
+                for l1, lower in parked:
+                    entries[((i1, j1, k1, l1), lower)] = 1
                 j2, k2, move = ext[(j1, k1)]
                 l2 = i1 + move
                 if 1 <= l2 <= cells:

@@ -94,18 +94,33 @@ def _run(
     value is the first application whose restriction is empty (the tensor
     side's overflow), or None.  Past the end of the simulation the last
     expected tensor stands in: a halted run holds its last configuration, and
-    an overflowed run is empty off the window."""
+    an overflowed run is empty off the window.  The tensors are read one at a
+    time, and each compared configuration is encoded once, when it is first
+    compared."""
     dims = transition.dims
     initial = initial_configuration(machine, tape, dims.cells)
-    expected = [encode_config(initial, dims)]
+    expected = encode_config(initial, dims)
     # Evolve first: its refusal of a negative count names ``steps``, as callers do.
-    restricted = [restrict_k_nonzero(a_t) for a_t in evolve(expected[0], transition, applications)]
+    tensors = evolve(expected, transition, applications)
     trace = oracle_run(machine, initial, stride * applications)
-    expected += [encode_config(config, dims) for config in trace.configs[1:]]
-    if trace.status is RunStatus.OVERFLOW:
-        expected.append(SparseTensor(dims, 0, {}))
-    agree = [r == expected[min(a * stride, len(expected) - 1)] for a, r in enumerate(restricted)]
-    overflow = next((a for a, r in enumerate(restricted) if r.is_zero), None)
+    configs = trace.configs
+    # Index len(configs) stands for the empty tensor after an overflow.
+    last = len(configs) if trace.status is RunStatus.OVERFLOW else len(configs) - 1
+    index = 0
+    agree: list[bool] = []
+    overflow = None
+    for a, a_t in enumerate(tensors):
+        step = min(a * stride, last)
+        if step != index:
+            index = step
+            if index < len(configs):
+                expected = encode_config(configs[index], dims)
+            else:
+                expected = SparseTensor(dims, 0, {})
+        restricted = restrict_k_nonzero(a_t)
+        agree.append(restricted == expected)
+        if overflow is None and restricted.is_zero:
+            overflow = a
     return trace, agree, overflow
 
 

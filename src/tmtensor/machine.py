@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Sequence
 
-from .errors import MachineFormatError
+from .errors import DEFAULT_CAP, MachineFormatError, ResourceLimit
 from .tensor import Dims
 
 RESERVED_STATE = "q0"
@@ -109,9 +109,16 @@ def oracle_step(machine: Machine, config: Configuration) -> Configuration | RunS
 
 
 def oracle_run(machine: Machine, initial: Configuration, max_steps: int) -> Trace:
-    """Simulate until halt, window overflow, or the step budget runs out."""
+    """Simulate until halt, window overflow, or the step budget runs out.
+
+    The trace keeps every configuration, so it raises ResourceLimit, before
+    simulating, when the cells of up to ``max_steps + 1`` configurations
+    exceed ``DEFAULT_CAP``."""
     if max_steps < 0:
         raise ValueError("max_steps must be >= 0")
+    cells = len(initial.tape) * (max_steps + 1)
+    if cells > DEFAULT_CAP:
+        raise ResourceLimit(f"trace would hold {cells} cells, cap is {DEFAULT_CAP}")
     configs = [initial]
     status = RunStatus.STEP_LIMIT
     for _ in range(max_steps):

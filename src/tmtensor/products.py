@@ -1,4 +1,5 @@
-"""The two contraction products and the plain evolution loop.
+"""The two contraction products and the evolution loop, which yields one
+tensor at a time.
 
 The evolution product contracts a configuration tensor against a transition
 tensor and factors exactly into an outer product: a local factor over
@@ -16,6 +17,9 @@ configurations.
 """
 
 from __future__ import annotations
+
+import itertools
+from typing import Iterator
 
 from .errors import DEFAULT_CAP, ResourceLimit, TensorError
 from .tensor import Coord, SparseTensor
@@ -235,15 +239,26 @@ def type2_power(b: SparseTensor, e: int, cap: int = DEFAULT_CAP) -> SparseTensor
     return result
 
 
-def evolve(a1: SparseTensor, b: SparseTensor, steps: int) -> list[SparseTensor]:
-    """Iterate the evolution product ``steps`` times: the tensors A_1..A_{T+1}.
-    Once a product equals the tensor it came from, equal inputs give equal
-    products from then on, so that tensor is repeated, not recomputed."""
+def evolve(a1: SparseTensor, b: SparseTensor, steps: int) -> Iterator[SparseTensor]:
+    """Iterate the evolution product ``steps`` times, yielding the tensors
+    A_1..A_{T+1} one at a time: A_{t+1} is computed only when it is asked for,
+    and only the current tensor is held.  The operands and the step count are
+    checked when ``evolve`` is called.  Once a product equals the tensor it
+    came from, equal inputs give equal products from then on, so that tensor
+    is repeated, not recomputed."""
     if steps < 0:
         raise ValueError("steps must be >= 0")
     _check_type1_operands(a1, b)
-    tensors = [a1]
-    for _ in range(steps):
-        fixed = len(tensors) > 1 and tensors[-1] == tensors[-2]
-        tensors.append(tensors[-1] if fixed else type1(tensors[-1], b))
-    return tensors
+
+    def tensors() -> Iterator[SparseTensor]:
+        current = a1
+        yield current
+        for step in range(steps):
+            following = type1(current, b)
+            yield following
+            if following == current:
+                yield from itertools.repeat(following, steps - step - 1)
+                return
+            current = following
+
+    return tensors()

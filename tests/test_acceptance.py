@@ -149,7 +149,7 @@ def test_criterion_6_structural_audits(corpus):
     for name, machine, tape in corpus:
         dims = machine.dims(4)
         b = encode_machine(machine, 4).tensor
-        a2 = evolve(encode_config(initial_configuration(machine, tape, 4), dims), b, 1)[1]
+        a2 = list(evolve(encode_config(initial_configuration(machine, tape, 4), dims), b, 1))[1]
         for tensor in (b, a2):
             text = tensor.to_text()
             if SparseTensor.from_text(text).to_text() != text:

@@ -145,8 +145,9 @@ def test_evolve_dumps_round_trip(tmp_path, capsys):
         assert SparseTensor.from_text(text).to_text() == text
 
 
-def test_evolve_stops_multiplying_at_its_fixed_point(capsys, monkeypatch):
-    # m1 halts at t=4 and A_6 equals A_5: five products are computed, not 60.
+def test_evolve_stops_multiplying_at_its_fixed_point(capsys, monkeypatch, tmp_path):
+    # m1 halts at t=4: the halt line needs A_4, three products, not 60.  A dump
+    # reads on to A_61, but A_6 equals A_5, so it adds only two more products.
     calls = []
 
     def counted(a, b):
@@ -158,7 +159,36 @@ def test_evolve_stops_multiplying_at_its_fixed_point(capsys, monkeypatch):
     code, out, _ = run(capsys, "evolve", M1, *args)
     assert code == 0
     assert out[-1] == "status=halted"
+    assert len(calls) == 3
+    calls.clear()
+    code, dumped, _ = run(capsys, "evolve", M1, *args, "--dump-dir", str(tmp_path))
+    assert (code, dumped) == (0, out)
     assert len(calls) == 5
+    assert len(list(tmp_path.iterdir())) == 62
+
+
+@pytest.mark.parametrize(
+    "tape, status",
+    [("1 1", "halted"), ("1 1 1 1", "overflow")],
+    ids=["halted", "overflow"],
+)
+def test_evolve_dumps_every_tensor_past_its_last_line(capsys, tmp_path, tape, status):
+    # The printed lines stop at the halt or overflow; the dump still holds
+    # A_1..A_{T+1}, as list(evolve(...)) gives them.
+    from tmtensor import encode_config, encode_machine, evolve, parse_machine
+
+    steps = 9
+    code, out, _ = run(
+        capsys, "evolve", M1, "--tape", tape, "--cells", "4", "--steps", str(steps),
+        "--dump-dir", str(tmp_path),
+    )
+    assert code == 0 and out[-1] == f"status={status}"
+    machine = parse_machine(machine_text("m1_unary_append"))
+    b = encode_machine(machine, 4).tensor
+    a1 = encode_config(initial_configuration(machine, tape.split(), 4), b.dims)
+    expected = {f"A_{t}.tsv": a_t.to_text() for t, a_t in enumerate(list(evolve(a1, b, steps)), start=1)}
+    expected["B.tsv"] = b.to_text()
+    assert {path.name: path.read_text() for path in tmp_path.iterdir()} == expected
 
 
 def test_evolve_overflow_strict_exit(capsys):
@@ -168,6 +198,23 @@ def test_evolve_overflow_strict_exit(capsys):
     assert out[-1] == "status=overflow"
     code, _, _ = run(capsys, "evolve", M1, *args, "--strict")
     assert code == 1
+
+
+@pytest.mark.parametrize("steps", ["2500000", "1000000000"])
+@pytest.mark.parametrize(
+    "command", [["simulate"], ["verify"], ["compose", "--tape", "1"]], ids=["simulate", "verify", "compose"]
+)
+def test_a_trace_over_the_cap_is_refused_before_simulating(capsys, monkeypatch, command, steps):
+    # At 4 cells, 2,500,000 steps is the first budget whose trace is over the cap.
+    def step(*args):
+        raise AssertionError("a step was simulated")
+
+    monkeypatch.setattr("tmtensor.machine.oracle_step", step)
+    bouncer = str(machine_path("bouncer"))
+    code, out, err = run(capsys, command[0], bouncer, *command[1:], "--cells", "4", "--steps", steps)
+    assert code == 3
+    assert err.splitlines()[-1].startswith("error: trace would hold ")
+    assert out == (["power=2 upper=2 nnz=720"] if command[0] == "compose" else [])
 
 
 def test_verify_pass_and_zero_steps(capsys):

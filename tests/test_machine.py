@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from tmtensor import (
     Configuration,
     MachineFormatError,
+    ResourceLimit,
     RunStatus,
     extend_delta,
     initial_configuration,
@@ -215,6 +216,15 @@ def test_oracle_run_overflow(m1):
     trace = oracle_run(m1, Configuration((1, 1, 1, 1), head=1, state=1), 20)
     assert trace.status is RunStatus.OVERFLOW
     assert len(trace.configs) == 4  # the step from head 4 leaves the window
+
+
+def test_oracle_run_caps_the_cells_of_its_trace(m1):
+    # 4 cells x 2,500,000 configurations is the cap.  A halted start stops at
+    # once, so the accepted side simulates nothing either.
+    halted = Configuration((1, 1, 1, 0), head=4, state=2)
+    assert oracle_run(m1, halted, 2_499_999).status is RunStatus.HALTED
+    with pytest.raises(ResourceLimit, match="^trace would hold 10000004 cells, cap is 10000000$"):
+        oracle_run(m1, halted, 2_500_000)
 
 
 def test_initial_configuration(m1):

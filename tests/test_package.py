@@ -249,7 +249,7 @@ def test_no_function_changes_a_tensor_it_receives(corpus):
         type1(a, b)
         type2(b, c)
         type2_power(c, 2)
-        evolve(a, b, 3)
+        list(evolve(a, b, 3))
         restrict_k_nonzero(a)
         with pytest.raises(TensorError):
             decode_config(a)

@@ -1,4 +1,6 @@
+import collections
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -660,7 +662,7 @@ def test_evolve_matches_oracle(m1):
     c1 = _initial(m1, ["1", "1"], 4)
     trace = oracle_run(m1, c1, 3)
     b = encode_machine(m1, 4).tensor
-    tensors = evolve(encode_config(c1, dims), b, 3)
+    tensors = list(evolve(encode_config(c1, dims), b, 3))
     assert len(tensors) == 4
     for t, config in enumerate(trace.configs, start=1):
         assert restrict_k_nonzero(tensors[t - 1]) == encode_config(config, dims)
@@ -677,14 +679,14 @@ def test_evolve_equals_the_plain_type1_iteration(corpus):
                 expected = [a1]
                 for _ in range(2 * cells + 2):
                     expected.append(type1(expected[-1], b))
-                assert evolve(a1, b, 2 * cells + 2) == expected, (name, cells, tape)
+                assert list(evolve(a1, b, 2 * cells + 2)) == expected, (name, cells, tape)
 
 
 def test_evolve_halted_start_is_stationary(m1):
     dims = m1.dims(4)
     halted = Configuration((1, 1, 1, 0), head=4, state=2)
     b = encode_machine(m1, 4).tensor
-    tensors = evolve(encode_config(halted, dims), b, 2)
+    tensors = list(evolve(encode_config(halted, dims), b, 2))
     r1 = restrict_k_nonzero(tensors[0])
     assert restrict_k_nonzero(tensors[1]) == r1
     assert restrict_k_nonzero(tensors[2]) == r1
@@ -694,7 +696,7 @@ def test_evolve_flags_overflow(m1):
     dims = m1.dims(4)
     edge = Configuration((1, 1, 1, 1), head=4, state=1)
     entries = CountedEntries(encode_machine(m1, 4).tensor.entries)
-    tensors = evolve(encode_config(edge, dims), SparseTensor(dims, 1, entries), 3)
+    tensors = list(evolve(encode_config(edge, dims), SparseTensor(dims, 1, entries), 3))
     assert [restrict_k_nonzero(a_t).is_zero for a_t in tensors] == [False, True, True, True]
     # A_2 holds only slot-0 entries, which B never reads, so A_3 is empty and
     # A_4 comes from it without a scan of B.
@@ -707,6 +709,32 @@ def test_evolve_refuses_a_negative_step_count(m1, steps):
     a1 = encode_config(_initial(m1, ["1", "1"], 4), m1.dims(4))
     with pytest.raises(ValueError, match="steps must be >= 0"):
         evolve(a1, encode_machine(m1, 4).tensor, steps)
+
+
+def test_evolve_refuses_mismatched_operands_when_called(m1):
+    a1 = encode_config(_initial(m1, ["1", "1"], 4), m1.dims(4))
+    with pytest.raises(TensorError, match="disagree on dims"):
+        evolve(a1, encode_machine(m1, 5).tensor, 3)
+    with pytest.raises(TensorError, match="transition tensor"):
+        evolve(a1, a1, 3)
+
+
+def test_evolve_holds_one_tensor_at_a_time(bouncer):
+    # The bouncer neither halts nor overflows at window 4, so every step runs
+    # type1; reading 8000 steps must peak within 64 KiB of reading 1000.
+    b = encode_machine(bouncer, 4).tensor
+    a1 = encode_config(_initial(bouncer, [], 4), b.dims)
+
+    def peak(steps):
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            collections.deque(evolve(a1, b, steps), maxlen=0)
+            return tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+
+    assert peak(8000) <= peak(1000) + 64 * 1024
 
 
 def test_factor_shapes_on_characteristic_inputs(corpus):
