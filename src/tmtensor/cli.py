@@ -8,10 +8,11 @@ and reused after that: ``main(argv)`` may be called repeatedly in one process,
 and each call parses into a fresh namespace.
 
 A command runs with CPython's cyclic garbage collector paused.  The tensors
-are dicts keyed by tuples of integer quads, which cannot form cycles, yet the
-collector re-scans every new key; a command leaves no cycles behind, so the
-pause skips work without leaving garbage.  The collector is process-wide, so
-``main`` hands back the state it found when it returns or raises, and it is
+are dicts from int keys to ints, and the products' working containers hold
+ints and containers of ints, so none can form a cycle, yet the collector
+scans the containers a command builds; a command leaves no cycles behind, so
+the pause skips work without leaving garbage.  The collector is process-wide,
+so ``main`` hands back the state it found when it returns or raises, and it is
 not for concurrent use from several threads.
 """
 

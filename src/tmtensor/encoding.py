@@ -28,7 +28,7 @@ def encode_config(config: Configuration, dims: Dims) -> SparseTensor:
         if not 0 <= j < dims.symbols:
             raise TensorError(f"symbol index {j} outside 0..{dims.symbols - 1}")
     entries = {
-        ((i, config.tape[i - 1], config.state, config.head),): 1
+        dims.quad(i, config.tape[i - 1], config.state, config.head): 1
         for i in range(1, dims.cells + 1)
     }
     return SparseTensor(dims, 0, entries)
@@ -42,8 +42,9 @@ def decode_config(a: SparseTensor) -> Configuration:
     cells = a.dims.cells
     if a.nnz != cells:
         raise TensorError(f"expected {cells} entries, found {a.nnz}")
-    symbol_at = {coord[0][0]: coord[0][1] for coord in a.entries}
-    _, _, state, head = next(iter(a.entries))[0]
+    quads = [a.dims.unpack(coord, 0)[0] for coord in a.entries]
+    symbol_at = {i: j for i, j, _, _ in quads}
+    _, _, state, head = quads[0]
     tape = tuple(symbol_at.get(i, 0) for i in range(1, cells + 1))
     config = Configuration(tape=tape, head=head, state=state)
     if encode_config(config, a.dims) == a:
@@ -77,17 +78,20 @@ def encode_machine(machine: Machine, cells: int) -> MachineEncoding:
     ext = extend_delta(machine)
     entries: dict[Coord, int] = {}
     dropped: list[tuple[int, int, int]] = []
+    width = dims.quad_bits
     for i1 in range(1, cells + 1):
         for j1 in range(dims.symbols):
-            # Each parked lower quad is built once and shared by the n states k1.
-            parked = [(l1, (i1, j1, 0, l1)) for l1 in range(1, cells + 1) if l1 != i1]
+            # Each parked lower quad is built once and shared by the n states
+            # k1; its upper quad differs from it only by k1.
+            parked = [dims.quad(i1, j1, 0, l1) for l1 in range(1, cells + 1) if l1 != i1]
             for k1 in range(1, dims.states):
-                for l1, lower in parked:
-                    entries[((i1, j1, k1, l1), lower)] = 1
+                k_field = k1 << dims.l_bits
+                for lower in parked:
+                    entries[(lower | k_field) << width | lower] = 1
                 j2, k2, move = ext[(j1, k1)]
                 l2 = i1 + move
                 if 1 <= l2 <= cells:
-                    entries[((i1, j1, k1, i1), (i1, j2, k2, l2))] = 1
+                    entries[dims.quad(i1, j1, k1, i1) << width | dims.quad(i1, j2, k2, l2)] = 1
                 else:
                     dropped.append((i1, j1, k1))
     return MachineEncoding(SparseTensor(dims, 1, entries), dropped)
@@ -97,5 +101,6 @@ def restrict_k_nonzero(a: SparseTensor) -> SparseTensor:
     """Delete every entry whose state index is 0, keeping all others intact."""
     if a.upper_count != 0:
         raise TensorError("restriction applies to configuration tensors (upper count 0)")
-    kept = {coord: value for coord, value in a.entries.items() if coord[0][2] != 0}
+    k_field = ((1 << a.dims.k_bits) - 1) << a.dims.l_bits
+    kept = {coord: value for coord, value in a.entries.items() if coord & k_field}
     return SparseTensor(a.dims, 0, kept)

@@ -19,7 +19,7 @@ from .encoding import MachineEncoding, encode_config, restrict_k_nonzero
 from .errors import DEFAULT_CAP, ResourceLimit
 from .machine import Machine, RunStatus, Trace, initial_configuration, oracle_run
 from .products import evolve, type1, type2
-from .tensor import Coord, Dims, SparseTensor, format_coord
+from .tensor import Coord, Dims, Quad, SparseTensor, format_coord
 
 # Random configuration tensors applied to both composites of a re-association
 # trial whose composites differ.
@@ -36,7 +36,7 @@ class Check:
     name: str
     detail: str
     passed: bool
-    witness: Coord | None = None
+    witness: tuple[Quad, ...] | None = None
 
     def line(self) -> str:
         subject = f"{self.name} {self.detail}" if self.detail else self.name
@@ -63,7 +63,7 @@ def _random_tensor(
     entries: dict[Coord, int] = {}
     for coord in itertools.product(quads, repeat=upper_count + 1):
         if rng.random() < density:
-            entries[coord] = 1 + int(rng.random() * value_bound)
+            entries[dims.pack(coord)] = 1 + int(rng.random() * value_bound)
     return SparseTensor(dims, upper_count, entries)
 
 
@@ -185,7 +185,8 @@ def mixed_assoc_trial(
     lhs = type1(type1(a, b), c)
     rhs = type1(a, type2(b, c, cap=cap))
     witness = _first_difference(lhs, rhs)
-    return Check("mixed-assoc", f"seed={seed}", witness is None, witness)
+    quads = None if witness is None else dims.unpack(witness, 0)
+    return Check("mixed-assoc", f"seed={seed}", witness is None, quads)
 
 
 def type2_assoc_trial(

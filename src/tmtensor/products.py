@@ -4,16 +4,17 @@ tensor at a time.
 The evolution product contracts a configuration tensor against a transition
 tensor and factors exactly into an outer product: a local factor over
 (cell, symbol) and a global factor over (state, head).  One scan of the
-transition tensor sums both, reading the configuration through a quad-keyed map;
-an entry whose first upper quad misses costs one membership test.  The composition
-product merges two transition tensors into one that acts as both in turn; it
-contracts the right operand slot by slot against the left operand's local/global
-marginals, kept under one number per distinct upper sequence of the left
-operand.  Each slot's global half is summed before its local half multiplies
-out, in the pass that groups the slot; the full Einstein sum is never
-expanded, and each key of a stage is built and stored once, with its nonzero
-value.  All arithmetic is exact; ``encoding`` reads tensors back as
-configurations.
+transition tensor sums both, reading the configuration through a map from
+its packed quads; an entry whose first upper quad misses costs one
+membership test.  The composition product merges two transition tensors
+into one that acts as both in turn; it contracts the right operand slot by
+slot against the left operand's local/global marginals, kept under one
+number per distinct upper sequence of the left operand.  Each slot's global
+half is summed before its local half multiplies out, in the pass that
+groups the slot; the full Einstein sum is never expanded, and each key of a
+stage is built and stored once, with its nonzero value.  Keys are read and
+built with shifts and masks (see ``tensor``).  All arithmetic is exact;
+``encoding`` reads tensors back as configurations.
 """
 
 from __future__ import annotations
@@ -24,7 +25,9 @@ from typing import Iterator
 from .errors import DEFAULT_CAP, ResourceLimit, TensorError
 from .tensor import Coord, SparseTensor
 
-PairMap = dict[tuple[int, int], int]
+# A (cell, symbol) pair, a quad's bits above its lowest kl_bits, or a
+# (state, head) pair, those lowest bits.
+PairMap = dict[int, int]
 
 
 def _check_type1_operands(a: SparseTensor, b: SparseTensor) -> None:
@@ -37,32 +40,36 @@ def _check_type1_operands(a: SparseTensor, b: SparseTensor) -> None:
 
 
 def factors(a: SparseTensor, b: SparseTensor) -> tuple[PairMap, PairMap]:
-    """One pass over b's keys, reading a's nonzero entries through a quad-keyed
-    map built once per call; an empty map reads nothing of b.  An entry of b
-    whose first upper quad a lacks costs one membership test; its value is read
-    only on a hit.  The local factor keeps the lower (cell, symbol) pair and the
-    global factor the lower (state, head) pair, each summing over the other
-    pair.  Zero sums are left out."""
+    """One pass over b's entries, reading a's nonzero entries through a map
+    from their quads built once per call; an empty map reads nothing of b.
+    An entry of b whose first upper quad, its key's top bits, a lacks costs
+    one membership test.  The local factor keeps the lower (cell, symbol)
+    pair and the global factor the lower (state, head) pair, each summing
+    over the other pair; each is keyed by its pair's bits (see ``PairMap``).
+    Zero sums are left out."""
     _check_type1_operands(a, b)
     local: PairMap = {}
     glob: PairMap = {}
-    lookup = {quad: value for (quad,), value in a.entries.items() if value}
+    lookup = {quad: value for quad, value in a.entries.items() if value}
     if not lookup:
         return local, glob
-    entries = b.entries
-    for coord in entries:
-        if coord[0] not in lookup:
+    width, kl_bits = b.dims.quad_bits, b.dims.kl_bits
+    quad_mask, kl_mask = (1 << width) - 1, (1 << kl_bits) - 1
+    top = b.upper_count * width
+    inner = range(top - width, 0, -width)
+    for coord, term in b.entries.items():
+        if coord >> top not in lookup:
             continue
-        term = entries[coord] * lookup[coord[0]]
-        for quad in coord[1:-1]:
-            value = lookup.get(quad)
+        term *= lookup[coord >> top]
+        for shift in inner:
+            value = lookup.get(coord >> shift & quad_mask)
             if not value:
                 break
             term *= value
         else:
-            i2, j2, k2, l2 = coord[-1]
-            local[(i2, j2)] = local.get((i2, j2), 0) + term
-            glob[(k2, l2)] = glob.get((k2, l2), 0) + term
+            lower = coord & quad_mask
+            local[lower >> kl_bits] = local.get(lower >> kl_bits, 0) + term
+            glob[lower & kl_mask] = glob.get(lower & kl_mask, 0) + term
     return (
         {pair: value for pair, value in local.items() if value},
         {pair: value for pair, value in glob.items() if value},
@@ -72,18 +79,19 @@ def factors(a: SparseTensor, b: SparseTensor) -> tuple[PairMap, PairMap]:
 def type1(a: SparseTensor, b: SparseTensor) -> SparseTensor:
     """The evolution product: the outer product of the local and global factors.
 
-    The result entry at (i, j, k, l) is local(i, j) * global(k, l).  Raises
-    ResourceLimit, before building it, when that is more than ``DEFAULT_CAP``
-    entries.
+    The result entry at (i, j, k, l) is local(i, j) * global(k, l), keyed by
+    the two pairs' bits joined.  Raises ResourceLimit, before building it,
+    when that is more than ``DEFAULT_CAP`` entries.
     """
     local, glob = factors(a, b)
     size = len(local) * len(glob)
     if size > DEFAULT_CAP:
         raise ResourceLimit(f"evolution product would have {size} entries, cap is {DEFAULT_CAP}")
+    kl_bits = a.dims.kl_bits
     entries = {
-        ((i, j, k, l),): lv * gv
-        for (i, j), lv in local.items()
-        for (k, l), gv in glob.items()
+        ij << kl_bits | kl: lv * gv
+        for ij, lv in local.items()
+        for kl, gv in glob.items()
     }
     return SparseTensor(a.dims, 0, entries)
 
@@ -142,17 +150,20 @@ def type2(b: SparseTensor, c: SparseTensor, cap: int = DEFAULT_CAP) -> SparseTen
     if b.upper_count < 1 or c.upper_count < 1:
         raise TensorError("both operands must be transition tensors (upper count >= 1)")
 
+    width, kl_bits = b.dims.quad_bits, b.dims.kl_bits
+    quad_mask, kl_mask = (1 << width) - 1, (1 << kl_bits) - 1
+
     # Number b's distinct upper blocks once: the marginals and every sum below
     # are keyed by these numbers, and a block is spelled out only in a key.
-    number: dict[Coord, int] = {}
-    local_sums: dict[tuple[int, int], dict[int, int]] = {}
-    global_sums: dict[tuple[int, int], dict[int, int]] = {}
+    number: dict[int, int] = {}
+    local_sums: dict[int, dict[int, int]] = {}
+    global_sums: dict[int, dict[int, int]] = {}
     for coord, value in b.entries.items():
-        n = number.setdefault(coord[:-1], len(number))
-        i, j, k, l = coord[-1]
-        sums = local_sums.setdefault((i, j), {})
+        n = number.setdefault(coord >> width, len(number))
+        lower = coord & quad_mask
+        sums = local_sums.setdefault(lower >> kl_bits, {})
         sums[n] = sums.get(n, 0) + value
-        sums = global_sums.setdefault((k, l), {})
+        sums = global_sums.setdefault(lower & kl_mask, {})
         sums[n] = sums.get(n, 0) + value
     uppers = list(number)
 
@@ -163,68 +174,74 @@ def type2(b: SparseTensor, c: SparseTensor, cap: int = DEFAULT_CAP) -> SparseTen
     )
 
     # Predict the full expansion before accumulating anything, so an
-    # over-budget composition aborts without doing the work.
+    # over-budget composition aborts without doing the work.  A slot's quad
+    # sits as many quads up as c has groups after it, whatever the slots
+    # before it have become.
+    slot_shifts = range(c.upper_count * width, 0, -width)
     entries: dict[Coord, int] = {}
     terms = 0
     for coord, cv in c.entries.items():
         count = 1
-        for i, j, k, l in coord[:-1]:
-            count *= len(local_index.get((i, j), ())) * len(global_index.get((k, l), ()))
+        for shift in slot_shifts:
+            quad = coord >> shift & quad_mask
+            count *= len(local_index.get(quad >> kl_bits, ())) * len(global_index.get(quad & kl_mask, ()))
         if count:
             terms += count
             entries[coord] = cv
     if terms > cap:
         raise ResourceLimit(f"composition would accumulate {terms} terms, cap is {cap}")
 
-    # Slot by slot, the quad at ``pos`` becomes the blocks U V.  Entries that
-    # share the quads around the slot form a group.  One pass files each
-    # entry under its group and (i, j) pair and adds its G terms into that
-    # pair's row h[V]; then each U sums the h rows of the pairs whose L holds
-    # it.  Keys from different groups or different (U, V) differ, so each
+    # Slot by slot, the quad ``shift`` bits up becomes the blocks U V.
+    # Entries whose keys agree once the slot's bits are cleared form a group.
+    # One pass files each entry under its group and (i, j) pair and adds its
+    # G terms into that pair's row h[V]; then each U sums the h rows of the
+    # pairs whose L holds it.  A key is its group's bits above the slot, then
+    # U, as its head, and V, then the group's bits below the slot, as its
+    # tail.  Keys from different groups or different (U, V) differ, so each
     # key is built once and stored once, nonzero.
-    width = 2 * b.upper_count
-    for pos in range(0, width * c.upper_count, width):
-        groups: dict[tuple[Coord, Coord], dict[tuple[int, int], dict[int, int]]] = {}
+    block = b.upper_count * width
+    for shift in slot_shifts:
+        keep = ~(quad_mask << shift)
+        groups: dict[int, dict[int, dict[int, int]]] = {}
         for coord, value in entries.items():
-            i, j, k, l = coord[pos]
-            h = groups.setdefault((coord[:pos], coord[pos + 1 :]), {}).setdefault((i, j), {})
-            for n, weight in global_index[(k, l)]:
+            quad = coord >> shift & quad_mask
+            h = groups.setdefault(coord & keep, {}).setdefault(quad >> kl_bits, {})
+            for n, weight in global_index[quad & kl_mask]:
                 h[n] = h.get(n, 0) + value * weight
+        heads = [upper << (block + shift) for upper in uppers]
+        tails = [upper << shift for upper in uppers]
+        below = (1 << shift) - 1
         # Popping frees each group as it expands, so the groups and the next
         # stage do not reach their full sizes together.
         entries = {}
         while groups:
-            (prefix, rest), pairs = groups.popitem()
+            key, pairs = groups.popitem()
+            above = key >> (shift + width) << (2 * block + shift)
+            rest = key & below
             # Each row keeps h by V's number, for merging, where a zero h[V]
-            # adds 0, and its nonzero h spelled out as (V + rest, h[V]), for
-            # a U that only it holds.  A row whose sums all came to 0 spells
+            # adds 0, and its nonzero h spelled out as (tail, h[V]), for a U
+            # that only it holds.  A row whose sums all came to 0 spells
             # nothing.
-            tails: dict[int, Coord] = {}
-            rows: dict[int, list[tuple[int, dict[int, int], list[tuple[Coord, int]]]]] = {}
+            rows: dict[int, list[tuple[int, dict[int, int], list[tuple[int, int]]]]] = {}
             for pair, h in pairs.items():
-                spelled = []
-                for n, hv in h.items():
-                    if not hv:
-                        continue
-                    if n not in tails:
-                        tails[n] = uppers[n] + rest
-                    spelled.append((tails[n], hv))
+                spelled = [(tails[n] | rest, hv) for n, hv in h.items() if hv]
                 for u, weight in local_index[pair]:
                     rows.setdefault(u, []).append((weight, h, spelled))
             for u, row in rows.items():
-                head = prefix + uppers[u]
+                head = above | heads[u]
                 if len(row) == 1:
                     [(weight, _, spelled)] = row
                     for tail, hv in spelled:
-                        entries[head + tail] = weight * hv
+                        entries[head | tail] = weight * hv
                     continue
                 merged: dict[int, int] = {}
                 for weight, h, _ in row:
                     for n, hv in h.items():
                         merged[n] = merged.get(n, 0) + weight * hv
+                head |= rest
                 for n, value in merged.items():
                     if value:
-                        entries[head + tails[n]] = value
+                        entries[head | tails[n]] = value
     return SparseTensor(b.dims, 2 * b.upper_count * c.upper_count, entries)
 
 

@@ -5,17 +5,22 @@ A tensor with ``upper_count == u`` keys every stored entry by ``u + 1`` quads,
 ``u = 0`` gives the order-4 configuration tensors, ``u = 1`` the order-8
 transition tensors, and composition products push ``u`` higher.  Scalars are
 exact Python integers; zero is never stored.
+
+A coordinate is one int, the linearized form of HiCOO and ALTO: ``Dims``
+gives every quad a fixed bit width, and the key packs the upper quads, most
+significant first, above the lower quad.  Keys of one tensor therefore order
+as their quad tuples do lexicographically.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 from .errors import TensorError
 
 Quad = tuple[int, int, int, int]
-Coord = tuple[Quad, ...]
+Coord = int
 
 
 @dataclass(frozen=True)
@@ -24,11 +29,21 @@ class Dims:
 
     State slot 0 is reserved for the bookkeeping state, so ``states`` counts the
     real states plus one.
+
+    A packed quad holds i - 1, j, k and l - 1, most significant first, in
+    fields of ``l_bits``, ``j_bits``, ``k_bits`` and ``l_bits`` bits; a field
+    with one possible value has width 0.  ``kl_bits`` is the shift of the
+    (i, j) pair above the (k, l) pair, and ``quad_bits`` the whole width.
     """
 
     cells: int
     symbols: int
     states: int
+    j_bits: int = field(init=False, repr=False, compare=False)
+    k_bits: int = field(init=False, repr=False, compare=False)
+    l_bits: int = field(init=False, repr=False, compare=False)
+    kl_bits: int = field(init=False, repr=False, compare=False)
+    quad_bits: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.cells < 1:
@@ -37,6 +52,14 @@ class Dims:
             raise ValueError("symbols must be >= 1")
         if self.states < 2:
             raise ValueError("states must be >= 2 (slot 0 plus at least one real state)")
+        l_bits = (self.cells - 1).bit_length()
+        j_bits = (self.symbols - 1).bit_length()
+        k_bits = (self.states - 1).bit_length()
+        object.__setattr__(self, "j_bits", j_bits)
+        object.__setattr__(self, "k_bits", k_bits)
+        object.__setattr__(self, "l_bits", l_bits)
+        object.__setattr__(self, "kl_bits", k_bits + l_bits)
+        object.__setattr__(self, "quad_bits", 2 * l_bits + j_bits + k_bits)
 
     def contains(self, quad: Sequence[int]) -> bool:
         i, j, k, l = quad
@@ -59,9 +82,34 @@ class Dims:
     def quad_count(self) -> int:
         return self.cells * self.symbols * self.states * self.cells
 
+    def quad(self, i: int, j: int, k: int, l: int) -> int:
+        """The bits of one in-range quad."""
+        return (((i - 1) << self.j_bits | j) << self.kl_bits) | (k << self.l_bits) | (l - 1)
+
+    def pack(self, quads: Iterable[Sequence[int]]) -> Coord:
+        """The key of in-range quads, the first in the most significant bits."""
+        key = 0
+        for i, j, k, l in quads:
+            key = key << self.quad_bits | self.quad(i, j, k, l)
+        return key
+
+    def unpack(self, coord: Coord, upper_count: int) -> tuple[Quad, ...]:
+        """The ``upper_count + 1`` quads that :meth:`pack` made ``coord`` from."""
+        width = self.quad_bits
+        quads = []
+        for shift in range(upper_count * width, -1, -width):
+            quad = coord >> shift & ((1 << width) - 1)
+            l = quad & ((1 << self.l_bits) - 1)
+            quad >>= self.l_bits
+            k = quad & ((1 << self.k_bits) - 1)
+            quad >>= self.k_bits
+            j = quad & ((1 << self.j_bits) - 1)
+            quads.append(((quad >> self.j_bits) + 1, j, k, l + 1))
+        return tuple(quads)
+
 
 def _check_coord(dims: Dims, upper_count: int, coord: Sequence[Sequence[int]]) -> Coord:
-    """Normalize a coordinate to nested tuples, checking arity and ranges."""
+    """Pack a coordinate given as quads, checking arity and ranges."""
     if len(coord) != upper_count + 1:
         raise TensorError(
             f"coordinate has {len(coord)} quads, tensor needs {upper_count + 1}"
@@ -74,17 +122,19 @@ def _check_coord(dims: Dims, upper_count: int, coord: Sequence[Sequence[int]]) -
         if not dims.contains(quad):
             raise TensorError(f"quad {quad!r} is outside {dims}")
         quads.append(quad)
-    return tuple(quads)
+    return dims.pack(quads)
 
 
-def format_coord(coord: Coord) -> str:
-    """Quads as the dump writes them: components space-separated, groups joined by " | "."""
-    return " | ".join(" ".join(str(c) for c in quad) for quad in coord)
+def format_coord(quads: Sequence[Sequence[int]]) -> str:
+    """A coordinate's quads, as :meth:`Dims.unpack` reads them back, written as
+    the dump writes them: components space-separated, groups joined by " | "."""
+    return " | ".join(" ".join(str(c) for c in quad) for quad in quads)
 
 
 @dataclass(frozen=True)
 class SparseTensor:
-    """Immutable mapping from coordinates (tuples of quads) to nonzero integers.
+    """Immutable mapping from coordinates (ints packed by :meth:`Dims.pack`) to
+    nonzero integers.
 
     Treat ``entries`` as read-only.  The constructor checks nothing: the package
     builds finished, zero-free dicts and passes them straight in.  Outside input
@@ -133,7 +183,7 @@ class SparseTensor:
         d = self.dims
         lines = [f"dims {d.cells} {d.symbols - 1} {d.states - 1}  upper {self.upper_count}"]
         for coord in sorted(self.entries):
-            lines.append(f"{format_coord(coord)} : {self.entries[coord]}")
+            lines.append(f"{format_coord(d.unpack(coord, self.upper_count))} : {self.entries[coord]}")
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -149,7 +199,7 @@ class SparseTensor:
         cells, m, n, upper_count = (int(tok) for tok in (header[1], header[2], header[3], header[5]))
         dims = Dims(cells, m + 1, n + 1)
 
-        def parse_line(line: str) -> tuple[Coord, int]:
+        def parse_line(line: str) -> tuple[tuple[tuple[int, ...], ...], int]:
             body, _, scalar = line.rpartition(":")
             if not body:
                 raise ValueError(f"bad dump line: {line!r}")

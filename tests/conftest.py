@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
-from tmtensor import parse_machine
+from tmtensor import SparseTensor, parse_machine
 
 settings.register_profile("suite", deadline=None)
 settings.load_profile("suite")
@@ -25,6 +25,18 @@ def machine_text(name: str) -> str:
 
 def machine_path(name: str) -> Path:
     return MACHINE_DIR / f"{name}.tm"
+
+
+def quads_of(t):
+    """``t``'s entries keyed by tuples of quads, read back through
+    ``Dims.unpack``: the form the brute-force references use."""
+    return {t.dims.unpack(coord, t.upper_count): value for coord, value in t.entries.items()}
+
+
+def tensor_of(dims, upper_count, entries):
+    """A tensor from entries keyed by tuples of quads, packed through
+    ``Dims.pack`` and stored as given, zeros included."""
+    return SparseTensor(dims, upper_count, {dims.pack(coord): value for coord, value in entries.items()})
 
 
 def input_words(machine, cells):

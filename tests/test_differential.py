@@ -37,7 +37,7 @@ from tmtensor import (
 )
 from tmtensor.cli import main
 
-from conftest import machine_text
+from conftest import machine_text, quads_of, tensor_of
 
 SEED = 2024
 PER_STATUS = 60
@@ -181,12 +181,13 @@ def test_the_window_check_catches_a_missing_active_entry(name, cells, power):
     # An active entry reads the head cell in each upper group; every
     # configuration with that head, state and symbol reads it.
     machine, transition = window_case(name, cells, power)
+    entries = quads_of(transition)
     active = min(
-        coord for coord in transition.entries
+        coord for coord in entries
         if len(set(coord[:-1])) == 1 and coord[0][0] == coord[0][3]
     )
-    entries = {coord: v for coord, v in transition.entries.items() if coord != active}
-    faulty = SparseTensor(transition.dims, transition.upper_count, entries)
+    del entries[active]
+    faulty = tensor_of(transition.dims, transition.upper_count, entries)
     assert first_window_failure(machine, faulty, power) is not None
 
 

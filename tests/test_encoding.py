@@ -16,6 +16,8 @@ from tmtensor import (
     restrict_k_nonzero,
 )
 
+from conftest import quads_of, tensor_of
+
 
 def brute_force_machine_tensor(machine, dims):
     """Direct enumeration of the two defining conditions over the full space."""
@@ -55,7 +57,7 @@ C1 = Configuration((1, 1, 0, 0), head=1, state=1)
 
 def test_encode_config_m1_c1(m1):
     a = encode_config(C1, m1.dims(4))
-    assert set(a.entries) == {
+    assert set(quads_of(a)) == {
         ((1, 1, 1, 1),),
         ((2, 1, 1, 1),),
         ((3, 0, 1, 1),),
@@ -67,7 +69,7 @@ def test_encode_config_m1_c1(m1):
 def test_encode_config_all_blank():
     dims = Dims(2, 2, 2)
     a = encode_config(Configuration((0, 0), head=1, state=1), dims)
-    assert set(a.entries) == {((1, 0, 1, 1),), ((2, 0, 1, 1),)}
+    assert set(quads_of(a)) == {((1, 0, 1, 1),), ((2, 0, 1, 1),)}
 
 
 def test_encode_config_dims_mismatch():
@@ -111,33 +113,45 @@ def test_decode_rejects_non_characteristic():
         decode_config(SparseTensor(dims, 1, {}))
 
 
-# Tensors on a 2-cell window that the plain constructor accepts unchecked.
+# Tensors on a 3-cell window that the plain constructor accepts unchecked.
+# Each packed field of Dims(3, 3, 3) holds one value past its range.
 @pytest.mark.parametrize(
     "quads, message",
     [
-        ([(1, 5, 1, 1), (2, 0, 1, 1)], "symbol index 5 outside 0..1"),
-        ([(1, 0, 1, 7), (2, 0, 1, 7)], "head 7 outside 1..2"),
-        ([(1, 0, 4, 1), (2, 0, 4, 1)], "state 4 outside 1..1"),
-        ([(1, 0, 1, 1), (3, 0, 1, 1)], NOT_CHARACTERISTIC),
+        ([(1, 3, 1, 1), (2, 0, 1, 1), (3, 0, 1, 1)], "symbol index 3 outside 0..2"),
+        ([(1, 0, 1, 4), (2, 0, 1, 4), (3, 0, 1, 4)], "head 4 outside 1..3"),
+        ([(1, 0, 3, 1), (2, 0, 3, 1), (3, 0, 3, 1)], "state 3 outside 1..2"),
+        ([(1, 0, 1, 1), (2, 0, 1, 1), (4, 0, 1, 1)], NOT_CHARACTERISTIC),
     ],
-    ids=["symbol-5", "head-7", "state-4", "cell-3"],
+    ids=["symbol-3", "head-4", "state-3", "cell-4"],
 )
 def test_decode_rejects_out_of_range_entries(quads, message):
-    bad = SparseTensor(Dims(2, 2, 2), 0, {(quad,): 1 for quad in quads})
+    bad = tensor_of(Dims(3, 3, 3), 0, {(quad,): 1 for quad in quads})
     with pytest.raises(TensorError, match=message):
         decode_config(bad)
 
 
+def test_decode_rejects_keys_wider_than_one_quad():
+    # The low quads alone are the characteristic tensor of a configuration.
+    dims = Dims(2, 2, 2)
+    config = Configuration((1, 0), head=1, state=1)
+    wide = {coord | 1 << dims.quad_bits: 1 for coord in encode_config(config, dims).entries}
+    with pytest.raises(TensorError, match=NOT_CHARACTERISTIC):
+        decode_config(SparseTensor(dims, 0, wide))
+
+
 def malformed_mutants(a):
-    """(label, entries) for every one-entry change of the configuration tensor
-    ``a`` that no configuration encodes to: the entry dropped, its value set to
-    2, or its state, head, cell or symbol moved out of what ``encode_config``
-    writes (cell and head also to one past the window)."""
+    """(label, entries keyed by quads) for every one-entry change of the
+    configuration tensor ``a`` that no configuration encodes to: the entry
+    dropped, its value set to 2, or its state, head, cell or symbol moved out
+    of what ``encode_config`` writes (cell and head also to one past the
+    window, and each to one past its range where the packed field holds it)."""
     dims = a.dims
     one_past = range(1, dims.cells + 2)
-    for coord in a.entries:
+    entries = quads_of(a)
+    for coord in entries:
         i, j, k, l = coord[0]
-        rest = {c: v for c, v in a.entries.items() if c != coord}
+        rest = {c: v for c, v in entries.items() if c != coord}
         yield f"cell {i} dropped", rest
         yield f"cell {i} value 2", {**rest, coord: 2}
         moved = (
@@ -147,18 +161,25 @@ def malformed_mutants(a):
             + [(i, dims.symbols, k, l)]
         )
         for quad in moved:
-            yield f"cell {i} as {quad}", {**rest, (quad,): 1}
+            if dims.unpack(dims.pack([quad]), 0) == (quad,):
+                yield f"cell {i} as {quad}", {**rest, (quad,): 1}
 
 
 def test_decode_rejects_every_malformed_mutant(corpus):
+    # At 3 cells the cell and head fields hold one past the window.
     for name, machine, tape in corpus:
-        a = encode_config(initial_configuration(machine, tape, 4), machine.dims(4))
+        a = encode_config(initial_configuration(machine, tape, 3), machine.dims(3))
+        labels = set()
         for label, entries in malformed_mutants(a):
+            labels.add(label)
             try:
-                decoded = decode_config(SparseTensor(a.dims, 0, entries))
+                decoded = decode_config(tensor_of(a.dims, 0, entries))
             except TensorError:
                 continue
             pytest.fail(f"{name}, {label}: decoded to {decoded}")
+        past = a.dims.cells + 1
+        assert any(f"as ({past}," in label for label in labels), name
+        assert any(label.endswith(f", {past})") for label in labels), name
 
 
 def test_decode_reads_every_in_range_symbol_mutant(corpus):
@@ -169,9 +190,9 @@ def test_decode_reads_every_in_range_symbol_mutant(corpus):
             for j in range(a.dims.symbols):
                 if j == config.tape[i - 1]:
                     continue
-                entries = {c: v for c, v in a.entries.items() if c[0][0] != i}
+                entries = {c: v for c, v in quads_of(a).items() if c[0][0] != i}
                 entries[((i, j, config.state, config.head),)] = 1
-                mutant = SparseTensor(a.dims, 0, entries)
+                mutant = tensor_of(a.dims, 0, entries)
                 changed = config.tape[: i - 1] + (j,) + config.tape[i:]
                 expected = Configuration(changed, head=config.head, state=config.state)
                 assert decode_config(mutant) == expected, (name, i, j)
@@ -203,7 +224,7 @@ def test_encode_machine_m1_condition_entries(m1):
     # halt states absorb in place
     assert tensor.get(((3, 1, 2, 3), (3, 1, 2, 3))) == 1
     # no upper group ever carries state slot 0
-    assert all(coord[0][2] != 0 for coord in tensor.entries)
+    assert all(coord[0][2] != 0 for coord in quads_of(tensor))
     # right-edge moves are dropped and reported
     assert dropped == [(4, 0, 1), (4, 1, 1)]
 
@@ -219,7 +240,7 @@ def test_encode_machine_matches_brute_force(corpus):
         for cells in (1, 2, 3, 4):
             dims = machine.dims(cells)
             tensor, dropped = encode_machine(machine, cells)
-            assert tensor.entries == brute_force_machine_tensor(machine, dims), (name, cells)
+            assert quads_of(tensor) == brute_force_machine_tensor(machine, dims), (name, cells)
             assert dropped == brute_force_dropped(machine, dims), (name, cells)
 
 
@@ -249,7 +270,7 @@ def test_restrict_k_nonzero():
         dims, 0, [(((1, 1, 0, 1),), 3), (((1, 1, 1, 2),), 1)]
     )
     restricted = restrict_k_nonzero(t)
-    assert restricted.entries == {((1, 1, 1, 2),): 1}
+    assert quads_of(restricted) == {((1, 1, 1, 2),): 1}
 
     untouched = SparseTensor.from_entries(dims, 0, [(((1, 1, 1, 2),), 4)])
     assert restrict_k_nonzero(untouched) == untouched

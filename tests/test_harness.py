@@ -20,6 +20,8 @@ from tmtensor import (
     verify_power,
 )
 
+from conftest import quads_of, tensor_of
+
 SMALL = Dims(2, 2, 2)   # window 2, symbols m=1, states n=1
 BIG = Dims(3, 2, 3)     # window 3, symbols m=1, states n=2
 
@@ -41,7 +43,7 @@ def test_verify_evolution_corrupted_b_names_the_step(m1):
     b = encode_machine(m1, 4).tensor
     # drop one inactive-cell entry: cell 2 no longer carries its symbol forward
     broken = dict(b.entries)
-    del broken[((2, 1, 1, 1), (2, 1, 0, 1))]
+    del broken[b.dims.pack(((2, 1, 1, 1), (2, 1, 0, 1)))]
     lines, check = verify_evolution(m1, ["1", "1"], SparseTensor(b.dims, 1, broken), 10)
     assert not check.passed
     assert lines[:2] == ["t=1 agree=yes", "t=2 agree=no"]  # trajectory index 2
@@ -135,7 +137,7 @@ def test_random_tensor_density_one_fills_the_space():
     dims = Dims(1, 1, 2)
     t = random_tensor(dims, 0, density=1.0, value_bound=1, seed=0)
     assert t.nnz == dims.quad_count
-    assert set(t.entries) == {(quad,) for quad in dims.iter_quads()}
+    assert set(quads_of(t)) == {(quad,) for quad in dims.iter_quads()}
 
 
 def test_random_tensor_seed_determinism():
@@ -152,7 +154,7 @@ def test_random_tensor_values_in_bound():
 
 def test_random_tensor_arity_and_grid():
     t = random_tensor(Dims(1, 1, 2), 1, density=1.0, value_bound=2, seed=1)
-    assert all(len(coord) == 2 for coord in t.entries)
+    assert all(len(coord) == 2 for coord in quads_of(t))
     assert t.nnz == Dims(1, 1, 2).quad_count ** 2
 
 
@@ -192,10 +194,9 @@ def test_mixed_assoc_trial_near_zero_density():
 
 def test_mixed_assoc_trial_names_the_first_difference(monkeypatch):
     def corrupted(b, c, cap):
-        composite = type2(b, c, cap=cap)
-        smallest = min(composite.entries)
-        pairs = [*composite.entries.items(), (smallest, 1)]
-        return SparseTensor.from_entries(composite.dims, composite.upper_count, pairs)
+        composite = quads_of(type2(b, c, cap=cap))
+        pairs = [*composite.items(), (min(composite), 1)]
+        return SparseTensor.from_entries(b.dims, 2, pairs)
 
     monkeypatch.setattr("tmtensor.harness.type2", corrupted)
     check = mixed_assoc_trial(SMALL, 1, 1, density=0.3, seed=1)
@@ -252,7 +253,7 @@ def test_type2_assoc_trial_samples_nothing_when_composites_are_equal(monkeypatch
 
 
 UPPER = (1, 1, 1, 1)
-LEFT = SparseTensor(SMALL, 1, {(UPPER, (1, 0, 1, 1)): 1, (UPPER, (2, 1, 1, 2)): 1})
+LEFT = tensor_of(SMALL, 1, {(UPPER, (1, 0, 1, 1)): 1, (UPPER, (2, 1, 1, 2)): 1})
 
 
 @pytest.mark.parametrize(
@@ -260,10 +261,10 @@ LEFT = SparseTensor(SMALL, 1, {(UPPER, (1, 0, 1, 1)): 1, (UPPER, (2, 1, 1, 2)): 
     [
         # The two lower groups trade their (state, head) pairs: a different
         # tensor with the same marginals, so every sample acts alike.
-        (SparseTensor(SMALL, 1, {(UPPER, (1, 0, 1, 2)): 1, (UPPER, (2, 1, 1, 1)): 1}), "PASS", 10),
+        (tensor_of(SMALL, 1, {(UPPER, (1, 0, 1, 2)): 1, (UPPER, (2, 1, 1, 1)): 1}), "PASS", 10),
         # A changed value changes a local and a global marginal: the first
         # sample (density 1 weighs every upper group) tells them apart.
-        (SparseTensor(SMALL, 1, {(UPPER, (1, 0, 1, 1)): 2, (UPPER, (2, 1, 1, 2)): 1}), "FAIL", 1),
+        (tensor_of(SMALL, 1, {(UPPER, (1, 0, 1, 1)): 2, (UPPER, (2, 1, 1, 2)): 1}), "FAIL", 1),
     ],
 )
 def test_type2_assoc_trial_samples_the_action_when_composites_differ(

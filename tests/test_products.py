@@ -24,7 +24,7 @@ from tmtensor import (
 )
 from tmtensor.harness import mixed_assoc_trial, random_tensor
 
-from conftest import input_words
+from conftest import input_words, quads_of, tensor_of
 
 DIMS = Dims(2, 2, 2)
 BIG = Dims(3, 2, 3)
@@ -35,8 +35,9 @@ def brute_force_type1(a, b):
     outside supp(a) weighs 0, so the sum over upper groups runs over supp(a)."""
     dims = a.dims
     p = b.upper_count
+    a_entries, b_entries = quads_of(a), quads_of(b)
     quads = list(dims.iter_quads())
-    support = [x for x in quads if (x,) in a.entries]
+    support = [x for x in quads if (x,) in a_entries]
     entries = {}
     for i, j, k, l in quads:
         local_sum = 0
@@ -44,13 +45,13 @@ def brute_force_type1(a, b):
         for uppers in itertools.product(support, repeat=p):
             weight = 1
             for x in uppers:
-                weight *= a.entries[(x,)]
+                weight *= a_entries[(x,)]
             for k2 in range(dims.states):
                 for l2 in range(1, dims.cells + 1):
-                    local_sum += weight * b.entries.get(uppers + ((i, j, k2, l2),), 0)
+                    local_sum += weight * b_entries.get(uppers + ((i, j, k2, l2),), 0)
             for i2 in range(1, dims.cells + 1):
                 for j2 in range(dims.symbols):
-                    global_sum += weight * b.entries.get(uppers + ((i2, j2, k, l),), 0)
+                    global_sum += weight * b_entries.get(uppers + ((i2, j2, k, l),), 0)
         if local_sum and global_sum:
             entries[((i, j, k, l),)] = local_sum * global_sum
     return entries
@@ -59,6 +60,7 @@ def brute_force_type1(a, b):
 def brute_force_type2_order8(b, c):
     """The composition sum for order-8 operands, straight from its definition."""
     dims = b.dims
+    b_entries, c_entries = quads_of(b), quads_of(c)
     quads = list(dims.iter_quads())
     entries = {}
     for x1 in quads:
@@ -67,13 +69,13 @@ def brute_force_type2_order8(b, c):
                 total = 0
                 for yp in quads:  # the quad contracted against c's upper group
                     ip, jp, kp, lp = yp
-                    cz = c.entries.get((yp, z), 0)
+                    cz = c_entries.get((yp, z), 0)
                     if not cz:
                         continue
                     for ipp, jpp, kpp, lpp in quads:  # summed away entirely
                         total += (
-                            b.entries.get((x1, (ip, jp, kpp, lpp)), 0)
-                            * b.entries.get((x2, (ipp, jpp, kp, lp)), 0)
+                            b_entries.get((x1, (ip, jp, kpp, lpp)), 0)
+                            * b_entries.get((x2, (ipp, jpp, kp, lp)), 0)
                             * cz
                         )
                 if total:
@@ -90,12 +92,13 @@ def brute_force_type2(b, c):
     no marginal is formed.
     """
     entries = {}
-    for coord, cv in c.entries.items():
+    b_entries = quads_of(b)
+    for coord, cv in quads_of(c).items():
         *slots, z = coord
         choices = []
         for i, j, k, l in slots:
-            firsts = [(u[:-1], bu) for u, bu in b.entries.items() if u[-1][:2] == (i, j)]
-            seconds = [(v[:-1], bv) for v, bv in b.entries.items() if v[-1][2:] == (k, l)]
+            firsts = [(u[:-1], bu) for u, bu in b_entries.items() if u[-1][:2] == (i, j)]
+            seconds = [(v[:-1], bv) for v, bv in b_entries.items() if v[-1][2:] == (k, l)]
             choices.append([(u + v, bu * bv) for u, bu in firsts for v, bv in seconds])
         for picks in itertools.product(*choices):
             key, value = (), cv
@@ -121,13 +124,13 @@ def first_slot_rows(b, c):
     sum_ij L(U; ij) h_ij(V) that have a nonzero term and still come to 0
     ("cancelled merged")."""
     margins = {"local": {}, "global": {}}
-    for coord, value in b.entries.items():
+    for coord, value in quads_of(b).items():
         i, j, k, l = coord[-1]
         for side, pair in (("local", (i, j)), ("global", (k, l))):
             sums = margins[side].setdefault(pair, {})
             sums[coord[:-1]] = sums.get(coord[:-1], 0) + value
     rows = {}
-    for (y, *rest), cv in c.entries.items():
+    for (y, *rest), cv in quads_of(c).items():
         i, j, k, l = y
         row = rows.setdefault((tuple(rest), (i, j)), {})
         for upper, g in margins["global"].get((k, l), {}).items():
@@ -164,11 +167,20 @@ def first_slot_rows(b, c):
     return counts
 
 
+def pairs_of(dims, local, glob):
+    """The factors keyed by (i, j) and (k, l) pairs, read back through
+    ``Dims.unpack`` from a quad's upper and lower ``kl_bits``."""
+    return (
+        {dims.unpack(ij << dims.kl_bits, 0)[0][:2]: value for ij, value in local.items()},
+        {dims.unpack(kl, 0)[0][2:]: value for kl, value in glob.items()},
+    )
+
+
 def test_factors_on_m1(m1):
     dims = m1.dims(4)
     a1 = encode_config(Configuration((1, 1, 0, 0), head=1, state=1), dims)
     b = encode_machine(m1, 4).tensor
-    assert factors(a1, b) == (
+    assert pairs_of(dims, *factors(a1, b)) == (
         {(1, 1): 1, (2, 1): 1, (3, 0): 1, (4, 0): 1},
         {(0, 1): 3, (1, 2): 1},
     )
@@ -210,7 +222,7 @@ def test_factors_zero_configuration(m1):
 def test_factors_single_entry():
     b = SparseTensor.from_entries(DIMS, 1, [(((1, 1, 1, 1), (2, 0, 1, 2)), 1)])
     a = SparseTensor.from_entries(DIMS, 0, [(((1, 1, 1, 1),), 5)])
-    assert factors(a, b) == ({(2, 0): 5}, {(1, 2): 5})
+    assert pairs_of(DIMS, *factors(a, b)) == ({(2, 0): 5}, {(1, 2): 5})
 
 
 def test_type1_m1_worked_product(m1):
@@ -222,7 +234,7 @@ def test_type1_m1_worked_product(m1):
     cells = {(1, 1), (2, 1), (3, 0), (4, 0)}
     expected = {((i, j, 1, 2),): 1 for i, j in cells}
     expected.update({((i, j, 0, 1),): 3 for i, j in cells})
-    assert a2.entries == expected
+    assert quads_of(a2) == expected
     # restriction recovers the next simulator configuration
     trace = oracle_run(m1, c1, 1)
     assert restrict_k_nonzero(a2) == encode_config(trace.configs[1], dims)
@@ -254,9 +266,9 @@ def test_type1_refuses_an_outer_product_over_the_cap():
     upper = (1, 0, 1, 1)
     lowers = {(i, j, 1, 1) for i in range(1, 2301) for j in range(2)}
     lowers |= {(1, 0, k, l) for k in range(2) for l in range(1, 2301)}
-    b = SparseTensor(dims, 1, {(upper, lower): 1 for lower in lowers})
+    b = tensor_of(dims, 1, {(upper, lower): 1 for lower in lowers})
     assert b.nnz == 9199
-    a = SparseTensor(dims, 0, {(upper,): 1})
+    a = tensor_of(dims, 0, {(upper,): 1})
     local, glob = factors(a, b)
     assert len(local) * len(glob) == 21_160_000
     with pytest.raises(ResourceLimit, match="21160000 entries"):
@@ -268,7 +280,7 @@ def random_operand(upper_count, density, seed, signed, dims=DIMS):
     minus 2, so its stored values are +-1 and its sums can cancel."""
     t = random_tensor(dims, upper_count, density=density, value_bound=3, seed=seed)
     if signed:
-        t = SparseTensor.from_entries(dims, upper_count, ((c, v - 2) for c, v in t.entries.items()))
+        t = SparseTensor.from_entries(dims, upper_count, ((c, v - 2) for c, v in quads_of(t).items()))
     return t
 
 
@@ -286,9 +298,10 @@ def type1_operands(p, seed, signed):
 def first_misses(a, b):
     """The upper positions at which entries of b first leave supp(a)."""
     misses = set()
-    for coord in b.entries:
+    a_entries = quads_of(a)
+    for coord in quads_of(b):
         for pos, quad in enumerate(coord[:-1]):
-            if (quad,) not in a.entries:
+            if (quad,) not in a_entries:
                 misses.add(pos)
                 break
     return misses
@@ -298,9 +311,10 @@ def cancelled_factor_sums(a, b):
     """How many local and global sums of type1(a, b) have a nonzero term and
     still come to 0."""
     sums = {}
-    for coord, value in b.entries.items():
+    a_entries = quads_of(a)
+    for coord, value in quads_of(b).items():
         for quad in coord[:-1]:
-            value *= a.entries.get((quad,), 0)
+            value *= a_entries.get((quad,), 0)
         if value:
             i, j, k, l = coord[-1]
             for key in (("local", i, j), ("global", k, l)):
@@ -323,23 +337,23 @@ def test_type1_matches_brute_force(p, seed, signed):
     assert first_misses(a, b) == set(range(p))
     if signed and p >= 3:  # these seeds were picked so that sums cancel
         assert cancelled_factor_sums(a, b)
-    assert type1(a, b).entries == brute_force_type1(a, b)
+    assert quads_of(type1(a, b)) == brute_force_type1(a, b)
 
 
 def with_zeros(t, coords):
     """``t`` plus an explicitly stored 0 at each coordinate it lacks."""
-    return SparseTensor(t.dims, t.upper_count, {**dict.fromkeys(coords, 0), **t.entries})
+    return tensor_of(t.dims, t.upper_count, {**dict.fromkeys(coords, 0), **quads_of(t)})
 
 
 @pytest.mark.parametrize("p,seed", [(1, 0), (2, 2), (4, 7)])
 def test_explicit_zero_entries_change_no_factor(p, seed):
     a, b = type1_operands(p, seed, signed=True)
-    support = [quad for (quad,) in a.entries]
+    support = [quad for (quad,) in quads_of(a)]
     a0 = with_zeros(a, [(quad,) for quad in a.dims.iter_quads()])
     # Stored zeros of b on a's support reach the sums; a's stored zeros sit at
     # the first upper quad of some entry of b, where the scan tests membership.
     b0 = with_zeros(b, [(quad,) * p + (lower,) for quad in support for lower in b.dims.iter_quads()])
-    assert any((coord[0],) not in a.entries for coord in b.entries)
+    assert any(coord[0] not in support for coord in quads_of(b))
     assert a0.nnz == a.dims.quad_count and b0.nnz > b.nnz
     expected = factors(a, b)
     for left, right in ((a0, b), (a, b0), (a0, b0)):
@@ -388,11 +402,11 @@ def test_type1_is_homogeneous_of_degree_2_in_b(p, seed, lam):
 def test_type1_equals_factor_outer_product(seed):
     a = random_tensor(DIMS, 0, density=0.4, value_bound=3, seed=seed)
     b = random_tensor(DIMS, 1, density=0.2, value_bound=3, seed=seed + 50)
-    local, glob = factors(a, b)
+    local, glob = pairs_of(DIMS, *factors(a, b))
     expected = {
         ((i, j, k, l),): lv * gv for (i, j), lv in local.items() for (k, l), gv in glob.items()
     }
-    assert type1(a, b).entries == expected
+    assert quads_of(type1(a, b)) == expected
 
 
 @pytest.mark.parametrize(
@@ -409,7 +423,7 @@ def test_type2_matches_brute_force(seed, signed):
     c = random_operand(1, density, seed + 10, signed)
     d = type2(b, c)
     assert d.upper_count == 2
-    assert d.entries == brute_force_type2_order8(b, c)
+    assert quads_of(d) == brute_force_type2_order8(b, c)
 
 
 @pytest.mark.parametrize(
@@ -425,7 +439,7 @@ def test_type2_matches_the_definition(p, q, density_b, density_c, seed):
     d = type2(b, c)
     assert d.upper_count == 2 * p * q
     assert 0 not in d.entries.values()
-    assert d.entries == brute_force_type2(b, c)
+    assert quads_of(d) == brute_force_type2(b, c)
     # Sums over the slot's (k, l) cancel to 0 before they meet L.
     assert first_slot_rows(b, c)["cancelled h"] > 0
 
@@ -448,15 +462,15 @@ def test_type2_matches_the_definition_on_every_basis_tensor(case):
     # Some L and G marginals of b cancel to 0, and some do not.
     for lower in (lambda quad: quad[:2], lambda quad: quad[2:]):
         sums = {}
-        for coord, value in b.entries.items():
+        for coord, value in quads_of(b).items():
             key = (coord[:-1], lower(coord[-1]))
             sums[key] = sums.get(key, 0) + value
         assert 0 in sums.values() and any(sums.values())
     nonzero = 0
     for y in itertools.product(dims.iter_quads(), repeat=q + 1):
-        e_y = SparseTensor(dims, q, {y: 1})
+        e_y = tensor_of(dims, q, {y: 1})
         d = type2(b, e_y)
-        assert d.entries == brute_force_type2(b, e_y), y
+        assert quads_of(d) == brute_force_type2(b, e_y), y
         nonzero += not d.is_zero
     assert nonzero
 
@@ -477,7 +491,7 @@ def test_type2_merges_the_rows_of_an_upper_held_by_several_pairs(p, q, density_b
     assert rows["single"] and rows["merged"] and rows["cancelled merged"], rows
     d = type2(b, c)
     assert 0 not in d.entries.values()
-    assert d.entries == brute_force_type2(b, c)
+    assert quads_of(d) == brute_force_type2(b, c)
 
 
 @pytest.mark.parametrize(
@@ -497,12 +511,12 @@ def test_type2_spells_nothing_for_a_row_whose_sums_all_cancel(density_b, seed, s
     assert rows["cancelled row"] and rows[setting], rows
     d = type2(b, c)
     assert 0 not in d.entries.values()
-    assert d.entries == brute_force_type2(b, c)
+    assert quads_of(d) == brute_force_type2(b, c)
 
 
 def added(t1, t2):
     """The entrywise sum of two tensors of one shape, zeros dropped."""
-    return SparseTensor.from_entries(t1.dims, t1.upper_count, [*t1.entries.items(), *t2.entries.items()])
+    return SparseTensor.from_entries(t1.dims, t1.upper_count, [*quads_of(t1).items(), *quads_of(t2).items()])
 
 
 TYPE2_LAW_OPERANDS = {
@@ -595,7 +609,7 @@ def test_type2_entrywise_associative_exhaustive():
     dims = Dims(1, 1, 2)
     coords = list(itertools.product(dims.iter_quads(), repeat=2))
     tensors = [
-        SparseTensor(dims, 1, {coord: 1 for coord, bit in zip(coords, bits) if bit})
+        tensor_of(dims, 1, {coord: 1 for coord, bit in zip(coords, bits) if bit})
         for bits in itertools.product((0, 1), repeat=len(coords))
     ]
     assert len(tensors) == 16
@@ -737,6 +751,22 @@ def test_evolve_holds_one_tensor_at_a_time(bouncer):
     assert peak(8000) <= peak(1000) + 64 * 1024
 
 
+def test_a_composite_holds_one_int_key_per_entry(m1):
+    # m1's cube at window 3: 33,030 entries of five quads.  Keyed by tuples of
+    # quads they held about 115 bytes each; keyed by one packed int, about 72.
+    b = encode_machine(m1, 3).tensor
+    square = type2_power(b, 2)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        cube = type2(square, b)
+        live = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert cube.nnz == 33030
+    assert live / cube.nnz < 90
+
+
 def test_factor_shapes_on_characteristic_inputs(corpus):
     # While the step stays inside the window: the local factor marks exactly
     # one (symbol) per cell with value 1, and the global factor carries exactly
@@ -749,7 +779,7 @@ def test_factor_shapes_on_characteristic_inputs(corpus):
         dims = machine.dims(4)
         b = encode_machine(machine, 4).tensor
         a = encode_config(config, dims)
-        local, glob = factors(a, b)
+        local, glob = pairs_of(dims, *factors(a, b))
         assert sorted(i for i, _ in local) == [1, 2, 3, 4], name
         assert set(local.values()) == {1}, name
         real = [(k, l) for k, l in glob if k != 0]

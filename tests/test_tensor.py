@@ -1,8 +1,9 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from tmtensor import Dims, SparseTensor, TensorError
+from tmtensor.harness import _first_difference
 
 DIMS = Dims(cells=2, symbols=2, states=2)
 
@@ -176,3 +177,86 @@ def test_equality_matches_summed_maps(e1, e2):
         sums1[c] == sums2.get(c, 0) for c in sums1
     )
     assert (t1 == t2) == same
+
+
+# Packed coordinates.  Dims of one cell or one symbol give a field of width 0;
+# nine quads of the widest Dims below take 126 bits.
+any_dims = st.builds(Dims, cells=st.integers(1, 9), symbols=st.integers(1, 5), states=st.integers(2, 6))
+
+
+def quads_in(dims):
+    return st.tuples(
+        st.integers(1, dims.cells),
+        st.integers(0, dims.symbols - 1),
+        st.integers(0, dims.states - 1),
+        st.integers(1, dims.cells),
+    )
+
+
+@st.composite
+def coordinate_pairs(draw):
+    dims = draw(any_dims)
+    upper_count = draw(st.integers(0, 8))
+    c1 = draw(st.tuples(*[quads_in(dims)] * (upper_count + 1)))
+    # The second coordinate changes one quad of the first, so that the two
+    # share a prefix of any length.
+    pos = draw(st.integers(0, upper_count))
+    return dims, upper_count, c1, c1[:pos] + (draw(quads_in(dims)),) + c1[pos + 1 :]
+
+
+@given(coordinate_pairs())
+@example((Dims(1, 1, 2), 8, ((1, 0, 1, 1),) * 9, ((1, 0, 0, 1),) * 9))
+@example((Dims(9, 5, 6), 8, ((9, 4, 5, 9),) * 9, ((9, 4, 5, 8),) * 9))
+def test_packing_round_trips_and_keeps_lexicographic_order(case):
+    dims, upper_count, c1, c2 = case
+    k1, k2 = dims.pack(c1), dims.pack(c2)
+    assert dims.unpack(k1, upper_count) == c1
+    assert dims.unpack(k2, upper_count) == c2
+    assert 0 <= k1 < 1 << dims.quad_bits * (upper_count + 1)
+    assert (k1 < k2) == (c1 < c2) and (k1 == k2) == (c1 == c2)
+
+
+def test_packing_gives_a_one_value_field_width_0_and_goes_past_64_bits():
+    assert Dims(1, 1, 2).quad_bits == 1
+    assert Dims(1, 1, 2).pack([(1, 0, 1, 1)] * 9) == (1 << 9) - 1
+    widest = Dims(9, 5, 6)
+    assert widest.quad_bits == 14
+    assert widest.pack([(9, 4, 5, 9)] * 9) >= 1 << 64
+
+
+@st.composite
+def sparse_tensors(draw, upper_counts):
+    dims = draw(st.builds(Dims, cells=st.integers(1, 4), symbols=st.integers(1, 3), states=st.integers(2, 4)))
+    upper_count = draw(upper_counts)
+    coord = st.tuples(*[quads_in(dims)] * (upper_count + 1))
+    entries = draw(st.lists(st.tuples(coord, st.integers(-3, 3)), max_size=20))
+    return dims, upper_count, entries
+
+
+@given(sparse_tensors(st.integers(4, 6)))
+def test_dump_round_trips_a_sparse_tensor_of_many_upper_groups(case):
+    dims, upper_count, entries = case
+    t = SparseTensor.from_entries(dims, upper_count, entries)
+    sums = {}
+    for coord, value in entries:
+        sums[coord] = sums.get(coord, 0) + value
+    lines = [
+        " | ".join(" ".join(map(str, quad)) for quad in coord) + f" : {value}"
+        for coord, value in sorted(sums.items()) if value
+    ]
+    assert t.to_text().splitlines()[1:] == lines
+    assert SparseTensor.from_text(t.to_text()) == t
+
+
+@given(sparse_tensors(st.integers(2, 4)), st.data())
+def test_first_difference_is_the_lexicographic_minimum(case, data):
+    dims, upper_count, entries = case
+    others = data.draw(st.lists(st.sampled_from(entries), max_size=len(entries))) if entries else []
+    t1 = SparseTensor.from_entries(dims, upper_count, entries)
+    t2 = SparseTensor.from_entries(dims, upper_count, others)
+    differ = [coord for coord, _ in entries + others if t1.get(coord) != t2.get(coord)]
+    witness = _first_difference(t1, t2)
+    if differ:
+        assert dims.unpack(witness, upper_count) == min(differ)
+    else:
+        assert witness is None
