@@ -3,18 +3,23 @@ tensor at a time.
 
 The evolution product contracts a configuration tensor against a transition
 tensor and factors exactly into an outer product: a local factor over
-(cell, symbol) and a global factor over (state, head).  One scan of the
-transition tensor sums both, reading the configuration through a map from
-its packed quads; an entry whose first upper quad misses costs one
-membership test.  The composition product merges two transition tensors
-into one that acts as both in turn; it contracts the right operand slot by
-slot against the left operand's local/global marginals, kept under one
-number per distinct upper sequence of the left operand.  Each slot's global
-half is summed before its local half multiplies out, in the pass that
-groups the slot; the full Einstein sum is never expanded, and each key of a
-stage is built and stored once, with its nonzero value.  Keys are read and
-built with shifts and masks (see ``tensor``).  All arithmetic is exact;
-``encoding`` reads tensors back as configurations.
+(cell, symbol) and a global factor over (state, head).  Only entries whose
+upper quads all lie in the configuration's support contribute.  When such
+candidate coordinates, |supp|^u upper sequences each joined to every lower
+quad, are fewer than the stored entries, each one is looked up; otherwise
+one scan of the transition tensor sums both factors, and an entry whose
+first upper quad misses costs one membership test.  An encoded machine has
+fewer entries than one window has quads, so it is always scanned; large
+composites applied to sparse configurations are looked up.  The composition
+product merges two transition tensors into one that acts as both in turn;
+it contracts the right operand slot by slot against the left operand's
+local/global marginals, kept under one number per distinct upper sequence
+of the left operand.  Each slot's global half is summed before its local
+half multiplies out, in the pass that groups the slot; the full Einstein
+sum is never expanded, and each key of a stage is built and stored once,
+with its nonzero value.  Keys are read and built with shifts and masks (see
+``tensor``).  All arithmetic is exact; ``encoding`` reads tensors back as
+configurations.
 """
 
 from __future__ import annotations
@@ -40,13 +45,19 @@ def _check_type1_operands(a: SparseTensor, b: SparseTensor) -> None:
 
 
 def factors(a: SparseTensor, b: SparseTensor) -> tuple[PairMap, PairMap]:
-    """One pass over b's entries, reading a's nonzero entries through a map
+    """The local and global factors, reading a's nonzero entries through a map
     from their quads built once per call; an empty map reads nothing of b.
-    An entry of b whose first upper quad, its key's top bits, a lacks costs
-    one membership test.  The local factor keeps the lower (cell, symbol)
-    pair and the global factor the lower (state, head) pair, each summing
-    over the other pair; each is keyed by its pair's bits (see ``PairMap``).
-    Zero sums are left out."""
+
+    Only b's entries whose u upper quads all lie in supp(a) contribute, so
+    there are L = |supp(a)|^u * quad_count candidate coordinates.  When L is
+    smaller than b.nnz, each candidate, an upper sequence drawn from supp(a)
+    with the product of its values joined to a lower quad, is looked up in b;
+    otherwise one pass over b's entries tests each entry's first upper quad,
+    its key's top bits, with one membership test.  An encoded machine has
+    u = 1 and more quads than entries, so it is always scanned.  The local
+    factor keeps the lower (cell, symbol) pair and the global factor the
+    lower (state, head) pair, each summing over the other pair; each is keyed
+    by its pair's bits (see ``PairMap``).  Zero sums are left out."""
     _check_type1_operands(a, b)
     local: PairMap = {}
     glob: PairMap = {}
@@ -55,21 +66,40 @@ def factors(a: SparseTensor, b: SparseTensor) -> tuple[PairMap, PairMap]:
         return local, glob
     width, kl_bits = b.dims.quad_bits, b.dims.kl_bits
     quad_mask, kl_mask = (1 << width) - 1, (1 << kl_bits) - 1
-    top = b.upper_count * width
-    inner = range(top - width, 0, -width)
-    for coord, term in b.entries.items():
-        if coord >> top not in lookup:
-            continue
-        term *= lookup[coord >> top]
-        for shift in inner:
-            value = lookup.get(coord >> shift & quad_mask)
-            if not value:
-                break
-            term *= value
-        else:
-            lower = coord & quad_mask
-            local[lower >> kl_bits] = local.get(lower >> kl_bits, 0) + term
-            glob[lower & kl_mask] = glob.get(lower & kl_mask, 0) + term
+    if len(lookup) ** b.upper_count * b.dims.quad_count < b.nnz:
+        prefixes = [(0, 1)]
+        for _ in range(b.upper_count):
+            prefixes = [
+                (prefix << width | quad, weight * value)
+                for prefix, weight in prefixes
+                for quad, value in lookup.items()
+            ]
+        lowers = [b.dims.quad(*quad) for quad in b.dims.iter_quads()]
+        entries = b.entries
+        for prefix, weight in prefixes:
+            prefix <<= width
+            for lower in lowers:
+                term = entries.get(prefix | lower)
+                if term:
+                    term *= weight
+                    local[lower >> kl_bits] = local.get(lower >> kl_bits, 0) + term
+                    glob[lower & kl_mask] = glob.get(lower & kl_mask, 0) + term
+    else:
+        top = b.upper_count * width
+        inner = range(top - width, 0, -width)
+        for coord, term in b.entries.items():
+            if coord >> top not in lookup:
+                continue
+            term *= lookup[coord >> top]
+            for shift in inner:
+                value = lookup.get(coord >> shift & quad_mask)
+                if not value:
+                    break
+                term *= value
+            else:
+                lower = coord & quad_mask
+                local[lower >> kl_bits] = local.get(lower >> kl_bits, 0) + term
+                glob[lower & kl_mask] = glob.get(lower & kl_mask, 0) + term
     return (
         {pair: value for pair, value in local.items() if value},
         {pair: value for pair, value in glob.items() if value},

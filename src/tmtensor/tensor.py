@@ -61,15 +61,6 @@ class Dims:
         object.__setattr__(self, "kl_bits", k_bits + l_bits)
         object.__setattr__(self, "quad_bits", 2 * l_bits + j_bits + k_bits)
 
-    def contains(self, quad: Sequence[int]) -> bool:
-        i, j, k, l = quad
-        return (
-            1 <= i <= self.cells
-            and 0 <= j < self.symbols
-            and 0 <= k < self.states
-            and 1 <= l <= self.cells
-        )
-
     def iter_quads(self) -> Iterator[Quad]:
         """Every quad in lexicographic (i, j, k, l) order."""
         for i in range(1, self.cells + 1):
@@ -87,9 +78,19 @@ class Dims:
         return (((i - 1) << self.j_bits | j) << self.kl_bits) | (k << self.l_bits) | (l - 1)
 
     def pack(self, quads: Iterable[Sequence[int]]) -> Coord:
-        """The key of in-range quads, the first in the most significant bits."""
+        """The key of quads, the first in the most significant bits.  Raises
+        TensorError for a quad outside these bounds, whose fields would spill
+        into their neighbours."""
         key = 0
-        for i, j, k, l in quads:
+        for quad in quads:
+            i, j, k, l = quad
+            if not (
+                1 <= i <= self.cells
+                and 0 <= j < self.symbols
+                and 0 <= k < self.states
+                and 1 <= l <= self.cells
+            ):
+                raise TensorError(f"quad {tuple(quad)!r} is outside {self}")
             key = key << self.quad_bits | self.quad(i, j, k, l)
         return key
 
@@ -109,20 +110,15 @@ class Dims:
 
 
 def _check_coord(dims: Dims, upper_count: int, coord: Sequence[Sequence[int]]) -> Coord:
-    """Pack a coordinate given as quads, checking arity and ranges."""
+    """Pack a coordinate given as quads, checking arity; ``pack`` checks ranges."""
     if len(coord) != upper_count + 1:
         raise TensorError(
             f"coordinate has {len(coord)} quads, tensor needs {upper_count + 1}"
         )
-    quads = []
     for group in coord:
-        quad = tuple(group)
-        if len(quad) != 4:
-            raise TensorError(f"index group {quad!r} does not have 4 components")
-        if not dims.contains(quad):
-            raise TensorError(f"quad {quad!r} is outside {dims}")
-        quads.append(quad)
-    return dims.pack(quads)
+        if len(group) != 4:
+            raise TensorError(f"index group {tuple(group)!r} does not have 4 components")
+    return dims.pack(coord)
 
 
 def format_coord(quads: Sequence[Sequence[int]]) -> str:

@@ -34,9 +34,18 @@ def quads_of(t):
 
 
 def tensor_of(dims, upper_count, entries):
-    """A tensor from entries keyed by tuples of quads, packed through
-    ``Dims.pack`` and stored as given, zeros included."""
-    return SparseTensor(dims, upper_count, {dims.pack(coord): value for coord, value in entries.items()})
+    """A tensor from entries keyed by tuples of quads, stored as given, zeros
+    included.  Quads are packed through ``Dims.quad``, without the range check
+    of ``Dims.pack``, so a test can store a quad that its packed field holds
+    but ``dims`` does not."""
+
+    def key(coord):
+        packed = 0
+        for quad in coord:
+            packed = packed << dims.quad_bits | dims.quad(*quad)
+        return packed
+
+    return SparseTensor(dims, upper_count, {key(coord): value for coord, value in entries.items()})
 
 
 def input_words(machine, cells):

@@ -161,7 +161,7 @@ def malformed_mutants(a):
             + [(i, dims.symbols, k, l)]
         )
         for quad in moved:
-            if dims.unpack(dims.pack([quad]), 0) == (quad,):
+            if dims.unpack(dims.quad(*quad), 0) == (quad,):
                 yield f"cell {i} as {quad}", {**rest, (quad,): 1}
 
 

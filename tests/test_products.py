@@ -208,6 +208,12 @@ class CountedEntries(dict):
         return super().items()
 
 
+def counted(t):
+    """``t`` and its entries, which count how often they are iterated."""
+    entries = CountedEntries(t.entries)
+    return SparseTensor(t.dims, t.upper_count, entries), entries
+
+
 def test_factors_zero_configuration(m1):
     # type1(0, b) = 0 for every b, so no entry of b is read.
     dims = m1.dims(4)
@@ -345,13 +351,18 @@ def with_zeros(t, coords):
     return tensor_of(t.dims, t.upper_count, {**dict.fromkeys(coords, 0), **quads_of(t)})
 
 
-@pytest.mark.parametrize("p,seed", [(1, 0), (2, 2), (4, 7)])
-def test_explicit_zero_entries_change_no_factor(p, seed):
+@pytest.mark.parametrize(
+    "p,seed,locates",
+    [(1, 0, True), (2, 2, True), (3, 5, True), (4, 7, False)],
+    ids=["1-0", "2-2", "3-5", "4-7"],
+)
+def test_explicit_zero_entries_change_no_factor(p, seed, locates):
     a, b = type1_operands(p, seed, signed=True)
     support = [quad for (quad,) in quads_of(a)]
     a0 = with_zeros(a, [(quad,) for quad in a.dims.iter_quads()])
-    # Stored zeros of b on a's support reach the sums; a's stored zeros sit at
-    # the first upper quad of some entry of b, where the scan tests membership.
+    # Stored zeros of b on a's support reach the sums.  On the scan side a's
+    # stored zeros sit at the first upper quad of some entry of b, where the
+    # scan tests membership; on the locate side no candidate is drawn from them.
     b0 = with_zeros(b, [(quad,) * p + (lower,) for quad in support for lower in b.dims.iter_quads()])
     assert any(coord[0] not in support for coord in quads_of(b))
     assert a0.nnz == a.dims.quad_count and b0.nnz > b.nnz
@@ -359,11 +370,64 @@ def test_explicit_zero_entries_change_no_factor(p, seed):
     for left, right in ((a0, b), (a, b0), (a0, b0)):
         assert factors(left, right) == expected
         assert type1(left, right) == type1(a, b)
+    # With b0 holding the zeros, the locate side looks candidates up and never
+    # iterates it; the scan side iterates it once.
+    right, entries = counted(b0)
+    assert factors(a0, right) == expected
+    assert entries.iterations == (0 if locates else 1)
     # A left operand whose every stored value is 0 reads nothing of b.
-    entries = CountedEntries(b0.entries)
+    right, entries = counted(b0)
     zeros = SparseTensor(a.dims, 0, dict.fromkeys(a0.entries, 0))
-    assert factors(zeros, SparseTensor(b.dims, p, entries)) == ({}, {})
+    assert factors(zeros, right) == ({}, {})
     assert entries.iterations == 0
+
+
+@pytest.mark.parametrize(
+    "dims,p,q,seed",
+    [(BIG, 1, 1, 0), (DIMS, 1, 2, 1), (DIMS, 2, 1, 1)],
+    ids=["BIG-1-1", "SMALL-1-2", "SMALL-2-1"],
+)
+def test_type1_locates_on_the_composites_of_criterion_2(dims, p, q, seed):
+    # The shapes of criterion 2's type1(a, b∘c), at density 0.05 so that type2
+    # stays cheap: a sparse a gives far fewer candidate coordinates than the
+    # composite stores, so no entry of it is iterated.
+    a = random_tensor(dims, 0, density=0.05, value_bound=3, seed=seed)
+    bc = type2(
+        random_tensor(dims, p, density=0.05, value_bound=3, seed=seed + 10),
+        random_tensor(dims, q, density=0.05, value_bound=3, seed=seed + 20),
+    )
+    assert a.nnz ** bc.upper_count * dims.quad_count < bc.nnz
+    b, entries = counted(bc)
+    result = type1(a, b)
+    assert entries.iterations == 0 and not result.is_zero
+    assert quads_of(result) == brute_force_type1(a, bc)
+
+
+def test_type1_locates_on_binary_increments_cube(increment):
+    # B³ at window 2 holds 47,008 entries; A_1 and A_2 need 768 and 12,288
+    # candidate lookups.
+    b = encode_machine(increment, 2).tensor
+    power = type2_power(b, 3)
+    cube, entries = counted(power)
+    assert cube.nnz == 47008
+    a1 = encode_config(_initial(increment, ["0"], 2), b.dims)
+    for a in (a1, type1(a1, b)):
+        result = type1(a, cube)
+        assert not result.is_zero
+        assert quads_of(result) == brute_force_type1(a, power)
+    assert entries.iterations == 0
+
+
+@pytest.mark.parametrize("cells", [16, 48])
+def test_an_encoded_machine_is_scanned_once_per_step(corpus, cells):
+    # B has upper count 1 and fewer entries than the window has quads, so
+    # even a one-entry a has at least as many candidates as B has entries.
+    for name, machine, tape in corpus:
+        b, entries = counted(encode_machine(machine, cells).tensor)
+        assert b.nnz < b.dims.quad_count, name
+        a1 = encode_config(_initial(machine, tape, cells), b.dims)
+        assert not type1(a1, b).is_zero
+        assert entries.iterations == 1, name
 
 
 def scaled(t, factor):

@@ -216,6 +216,19 @@ def test_packing_round_trips_and_keeps_lexicographic_order(case):
     assert (k1 < k2) == (c1 < c2) and (k1 == k2) == (c1 == c2)
 
 
+def test_pack_refuses_a_quad_outside_its_dims():
+    # At Dims(4, 2, 3) the head field has 2 bits: head 5 (l - 1 = 4) would
+    # spill into the state field's low bit, which state 1 already sets, and
+    # give the key of head 1.
+    dims = Dims(4, 2, 3)
+    assert dims.pack([(1, 0, 1, 1)]) == 4
+    with pytest.raises(TensorError, match=r"quad \(1, 0, 1, 5\) is outside Dims\(cells=4, symbols=2, states=3\)"):
+        dims.pack([(1, 0, 1, 5)])
+    for quad in [(0, 0, 1, 1), (5, 0, 1, 1), (1, -1, 1, 1), (1, 2, 1, 1), (1, 0, -1, 1), (1, 0, 3, 1), (1, 0, 1, 0)]:
+        with pytest.raises(TensorError, match="is outside"):
+            dims.pack([(1, 0, 1, 1), quad])
+
+
 def test_packing_gives_a_one_value_field_width_0_and_goes_past_64_bits():
     assert Dims(1, 1, 2).quad_bits == 1
     assert Dims(1, 1, 2).pack([(1, 0, 1, 1)] * 9) == (1 << 9) - 1
