@@ -6,21 +6,12 @@ All results go to stdout as plain text, diagnostics to stderr.  Exit codes:
 The argument parser is built once per process, on the first ``main`` call,
 and reused after that: ``main(argv)`` may be called repeatedly in one process,
 and each call parses into a fresh namespace.
-
-A command runs with CPython's cyclic garbage collector paused.  The tensors
-are dicts from int keys to ints, and the products' working containers hold
-ints and containers of ints, so none can form a cycle, yet the collector
-scans the containers a command builds; a command leaves no cycles behind, so
-the pause skips work without leaving garbage.  The collector is process-wide,
-so ``main`` hands back the state it found when it returns or raises, and it is
-not for concurrent use from several threads.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import gc
 import sys
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
@@ -241,22 +232,14 @@ def main(argv: list[str] | None = None) -> int:
     """Run one command and return its exit code.
 
     Safe to call repeatedly in one process: the parser is shared, but each call
-    parses ``argv`` into a fresh namespace and nothing else is kept.  The
-    command runs with the process-wide cyclic garbage collector paused, and
-    the collector's state before the call comes back on every exit, so
-    ``main`` must not run in several threads at once.
+    parses ``argv`` into a fresh namespace and nothing else is kept.
     """
     args = build_parser().parse_args(argv)
-    was_enabled = gc.isenabled()
-    gc.disable()
     try:
         return args.func(args)
     except (ResourceLimit, MachineFormatError, TensorError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, ResourceLimit) else 2
-    finally:
-        if was_enabled:
-            gc.enable()
 
 
 if __name__ == "__main__":

@@ -287,7 +287,12 @@ def _check_tape_tokens(machine: Machine, tokens: Sequence[str]) -> list[int]:
 
 
 def initial_configuration(machine: Machine, tape_tokens: Sequence[str], cells: int) -> Configuration:
-    """Lay the tokens into cells 1..k, blanks after; head on cell 1, start state 1."""
+    """Lay the tokens into cells 1..k, blanks after; head on cell 1, start state 1.
+
+    Raises ResourceLimit, before building the tape, when ``cells`` exceeds
+    ``DEFAULT_CAP``."""
+    if cells > DEFAULT_CAP:
+        raise ResourceLimit(f"window has {cells} cells, cap is {DEFAULT_CAP}")
     indices = _check_tape_tokens(machine, tape_tokens)
     if len(indices) > cells:
         raise MachineFormatError(f"tape needs {len(indices)} cells, window has {cells}")

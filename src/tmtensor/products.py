@@ -152,13 +152,15 @@ def type2(b: SparseTensor, c: SparseTensor, cap: int = DEFAULT_CAP) -> SparseTen
     of different groups or of different (U_s, V_s) differ, so each key is
     built once, when its nonzero sum is stored; a zero sum is never stored.
 
-    Raises ResourceLimit, before accumulating anything, when the predicted
-    number of terms of the full expansion exceeds ``cap``.  The prediction
-    bounds every intermediate stage as well as the result: after slot s at
-    most sum_y prod_{t<=s} |L(ij(y_t))| |G(kl(y_t))| entries exist.  Slot
-    s's h rows hold at most sum_y |G(kl(y_s))| prod_{t<s} |L(ij(y_t))|
-    |G(kl(y_t))| sums, one per stage entry and G value, and |G(kl(y_s))| is
-    a factor of y's predicted terms, so the same bound covers them.
+    Raises ResourceLimit, before building anything, when the result would
+    have more than ``DEFAULT_CAP`` upper groups, and, before accumulating
+    anything, when the predicted number of terms of the full expansion
+    exceeds ``cap``.  The prediction bounds every intermediate stage as well
+    as the result: after slot s at most sum_y prod_{t<=s} |L(ij(y_t))|
+    |G(kl(y_t))| entries exist.  Slot s's h rows hold at most
+    sum_y |G(kl(y_s))| prod_{t<s} |L(ij(y_t))| |G(kl(y_t))| sums, one per
+    stage entry and G value, and |G(kl(y_s))| is a factor of y's predicted
+    terms, so the same bound covers them.
 
     Re-association is exact entry by entry.  Multiplying out the nested
     sums, an entry of b∘c is sum_y c(y; z) W_b(U V; y) with
@@ -179,6 +181,9 @@ def type2(b: SparseTensor, c: SparseTensor, cap: int = DEFAULT_CAP) -> SparseTen
         raise TensorError(f"operands disagree on dims: {b.dims} vs {c.dims}")
     if b.upper_count < 1 or c.upper_count < 1:
         raise TensorError("both operands must be transition tensors (upper count >= 1)")
+    upper_count = 2 * b.upper_count * c.upper_count
+    if upper_count > DEFAULT_CAP:
+        raise ResourceLimit(f"composition would have {upper_count} upper groups, cap is {DEFAULT_CAP}")
 
     width, kl_bits = b.dims.quad_bits, b.dims.kl_bits
     quad_mask, kl_mask = (1 << width) - 1, (1 << kl_bits) - 1
@@ -272,7 +277,7 @@ def type2(b: SparseTensor, c: SparseTensor, cap: int = DEFAULT_CAP) -> SparseTen
                 for n, value in merged.items():
                     if value:
                         entries[head | tails[n]] = value
-    return SparseTensor(b.dims, 2 * b.upper_count * c.upper_count, entries)
+    return SparseTensor(b.dims, upper_count, entries)
 
 
 def type2_power(b: SparseTensor, e: int, cap: int = DEFAULT_CAP) -> SparseTensor:

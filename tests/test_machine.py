@@ -3,6 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tmtensor import (
+    DEFAULT_CAP,
     Configuration,
     MachineFormatError,
     ResourceLimit,
@@ -237,6 +238,8 @@ def test_initial_configuration(m1):
         initial_configuration(m1, ["_"], 4)  # blank is outside the input alphabet
     with pytest.raises(MachineFormatError, match="unknown tape symbol '2'"):
         initial_configuration(m1, ["2"], 4)
+    with pytest.raises(ResourceLimit, match="^window has 10000001 cells, cap is 10000000$"):
+        initial_configuration(m1, [], DEFAULT_CAP + 1)
 
 
 increment_configs = st.builds(
