@@ -619,19 +619,22 @@ EXITS = {
 }
 
 
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
 @pytest.mark.parametrize("case", EXITS)
-def test_every_way_out_of_main(monkeypatch, case):
+def test_main_hands_back_the_collector_state_it_found(monkeypatch, case, enabled):
     argv, expected = EXITS[case]
     if case == "exception":
         monkeypatch.setattr("tmtensor.cli.type2_power", _fail)
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    with collector(enabled), contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
         try:
             outcome = "returned", main(argv)
         except SystemExit as exc:
             outcome = "exited", exc.code
         except RuntimeError as exc:
             outcome = "raised", str(exc)
-    assert outcome == expected
+        assert outcome == expected
+        assert gc.isenabled() is enabled
 
 
 @pytest.mark.parametrize("argv", GOLDEN_MATRIX, ids=shlex.join)
