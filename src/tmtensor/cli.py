@@ -85,7 +85,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     machine, tokens, b = _load_encoded(args)
     initial = initial_configuration(machine, tokens or [], args.cells)
     tensors = enumerate(evolve(encode_config(initial, b.dims), b, args.steps), start=1)
-    dump_dir = None if args.dump_dir is None else Path(args.dump_dir)
+    dump_dir = args.dump_dir
     if dump_dir is not None:
         dump_dir.mkdir(parents=True, exist_ok=True)
         (dump_dir / "B.tsv").write_text(b.to_text())
@@ -165,6 +165,13 @@ def _count(minimum: int) -> Callable[[str], int]:
     return count
 
 
+def _dump_dir(text: str) -> Path:
+    """Argparse type for ``--dump-dir``; ``Path("")`` is the working directory."""
+    if not text:
+        raise argparse.ArgumentTypeError("must not be empty")
+    return Path(text)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The one parser definition, built on the first call and shared after,
@@ -191,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "evolve", parents=[machine_args, step_args], help="print the decoded tensor trajectory"
     )
-    p.add_argument("--dump-dir", help="write A_<t>.tsv and B.tsv dumps here")
+    p.add_argument("--dump-dir", type=_dump_dir, help="write A_<t>.tsv and B.tsv dumps here")
     p.add_argument("--strict", action="store_true", help="exit nonzero on window overflow")
     p.set_defaults(func=cmd_evolve)
 

@@ -17,7 +17,7 @@ from random import Random
 
 from .encoding import MachineEncoding, encode_config, restrict_k_nonzero
 from .errors import DEFAULT_CAP, ResourceLimit
-from .machine import Machine, RunStatus, Trace, initial_configuration, oracle_run
+from .machine import Machine, RunStatus, initial_configuration, oracle_run
 from .products import evolve, type1, type2
 from .tensor import Coord, Dims, Quad, SparseTensor, format_coord
 
@@ -86,17 +86,18 @@ def _run(
     transition: SparseTensor,
     stride: int,
     applications: int,
-) -> tuple[Trace, list[bool], int | None]:
+) -> tuple[list[bool], int | None, int | None]:
     """Simulate ``stride * applications`` steps and apply ``transition``
-    ``applications`` times from the same initial configuration.  Entry a of the
-    returned list says whether the tensor after a applications restricts to the
-    simulator's configuration at trajectory index 1 + a * stride.  The last
-    value is the first application whose restriction is empty (the tensor
-    side's overflow), or None.  Past the end of the simulation the last
-    expected tensor stands in: a halted run holds its last configuration, and
-    an overflowed run is empty off the window.  The tensors are read one at a
-    time, and each compared configuration is encoded once, when it is first
-    compared."""
+    ``applications`` times from the same initial configuration; return the
+    run record ``(agree, overflow, oracle_overflow)``.  ``agree[a]`` says
+    whether the tensor after a applications restricts to the simulator's
+    configuration at trajectory index 1 + a * stride; ``overflow`` is the
+    first application whose restriction is empty and ``oracle_overflow`` the
+    simulator step that left the window, each None if there is none.  Past
+    the end of the simulation the last expected tensor stands in: a halted
+    run holds its last configuration, and an overflowed run is empty off the
+    window.  The tensors are read one at a time, and each compared
+    configuration is encoded once, when it is first compared."""
     dims = transition.dims
     initial = initial_configuration(machine, tape, dims.cells)
     expected = encode_config(initial, dims)
@@ -104,8 +105,9 @@ def _run(
     tensors = evolve(expected, transition, applications)
     trace = oracle_run(machine, initial, stride * applications)
     configs = trace.configs
-    # Index len(configs) stands for the empty tensor after an overflow.
-    last = len(configs) if trace.status is RunStatus.OVERFLOW else len(configs) - 1
+    oracle_overflow = len(configs) if trace.status is RunStatus.OVERFLOW else None
+    # Index len(configs), the overflow step, stands for the empty tensor.
+    last = len(configs) - 1 if oracle_overflow is None else oracle_overflow
     index = 0
     agree: list[bool] = []
     overflow = None
@@ -121,7 +123,7 @@ def _run(
         agree.append(restricted == expected)
         if overflow is None and restricted.is_zero:
             overflow = a
-    return trace, agree, overflow
+    return agree, overflow, oracle_overflow
 
 
 def verify_evolution(
@@ -134,17 +136,15 @@ def verify_evolution(
     the simulator's configuration at that step, with halting absorbed and
     overflow coinciding.  Returns one ``t=<t> agree=yes|no`` line per compared
     step and an ``overflow`` line, then the verdict."""
-    trace, agree, overflow_step = _run(machine, tape, transition, 1, steps)
+    agree, overflow, oracle_overflow = _run(machine, tape, transition, 1, steps)
 
     # Past an overflow the overflow step is compared instead of the tensors.
-    oracle_overflow = trace.status is RunStatus.OVERFLOW
-    expected_step = len(trace.configs) if oracle_overflow else None
-    agree = agree[:expected_step]
-    overflow_agree = overflow_step == expected_step
+    agree = agree[:oracle_overflow]
+    overflow_agree = overflow == oracle_overflow
     lines = [f"t={t} agree={'yes' if ok else 'no'}" for t, ok in enumerate(agree, start=1)]
-    tensor = "no" if overflow_step is None else f"step {overflow_step}"
+    tensor = "no" if overflow is None else f"step {overflow}"
     lines.append(
-        f"overflow oracle={'yes' if oracle_overflow else 'no'} tensor={tensor} "
+        f"overflow oracle={'no' if oracle_overflow is None else 'yes'} tensor={tensor} "
         f"agree={'yes' if overflow_agree else 'no'}"
     )
     return lines, Check("evolution", "", overflow_agree and all(agree))
@@ -161,7 +161,7 @@ def verify_power(
     ``power`` steps, absorbing once halted and empty once off the window."""
     if power < 1:
         raise ValueError("power must be >= 1")
-    _, agree, _ = _run(machine, tape, transition, power, steps)
+    agree, _, _ = _run(machine, tape, transition, power, steps)
     return [
         Check("compose-action", f"step={application * power}", agree[application])
         for application in range(1, steps + 1)

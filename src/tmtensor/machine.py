@@ -73,7 +73,7 @@ def extend_delta(machine: Machine) -> dict[tuple[int, int], Rule]:
     return rules
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Configuration:
     """Snapshot of a run: window contents (cells 1..N), head cell, state index."""
 

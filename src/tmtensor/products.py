@@ -1,25 +1,13 @@
 """The two contraction products and the evolution loop, which yields one
 tensor at a time.
 
-The evolution product contracts a configuration tensor against a transition
-tensor and factors exactly into an outer product: a local factor over
-(cell, symbol) and a global factor over (state, head).  Only entries whose
-upper quads all lie in the configuration's support contribute.  When such
-candidate coordinates, |supp|^u upper sequences each joined to every lower
-quad, are fewer than the stored entries, each one is looked up; otherwise
-one scan of the transition tensor sums both factors, and an entry whose
-first upper quad misses costs one membership test.  An encoded machine has
-fewer entries than one window has quads, so it is always scanned; large
-composites applied to sparse configurations are looked up.  The composition
-product merges two transition tensors into one that acts as both in turn;
-it contracts the right operand slot by slot against the left operand's
-local/global marginals, kept under one number per distinct upper sequence
-of the left operand.  Each slot's global half is summed before its local
-half multiplies out, in the pass that groups the slot; the full Einstein
-sum is never expanded, and each key of a stage is built and stored once,
-with its nonzero value.  Keys are read and built with shifts and masks (see
-``tensor``).  All arithmetic is exact; ``encoding`` reads tensors back as
-configurations.
+``type1`` contracts a configuration tensor against a transition tensor into
+the outer product of a local factor over (cell, symbol) and a global factor
+over (state, head); ``factors`` states when it looks entries up, when it
+scans, and what an empty configuration reads.  ``type2`` composes two
+transition tensors into one that acts as both in turn; its docstring states
+how the contraction is staged slot by slot.  Keys are read and built with
+shifts and masks (see ``tensor``); all arithmetic is exact.
 """
 
 from __future__ import annotations

@@ -185,7 +185,10 @@ class SparseTensor:
     @classmethod
     def from_text(cls, text: str) -> SparseTensor:
         """Parse a dump.  Only the exact text :meth:`to_text` writes is accepted:
-        duplicate, unsorted, zero-valued or blank lines raise ValueError."""
+        duplicate, unsorted, zero-valued or blank lines raise ValueError.  A
+        coordinate that :meth:`from_entries` refuses (the wrong number of
+        quads, a quad without four components, a quad outside the header's
+        dims) raises TensorError, as it does there."""
         lines = text.splitlines()
         if not lines:
             raise ValueError("empty tensor dump")

@@ -445,9 +445,12 @@ def test_the_cap_bounds_the_terms_of_a_square_and_of_both_slots(capsys, case):
     assert (code, out) == (0, passed)
 
 
-def test_usage_error_exit_code(capsys):
-    # Nonsense counts are usage errors, never a PASS over nothing.
+def test_usage_error_exit_code(capsys, tmp_path, monkeypatch):
+    # Nonsense counts are usage errors, never a PASS over nothing.  An empty
+    # --dump-dir would name the working directory; it must write nothing.
+    monkeypatch.chdir(tmp_path)
     for argv in (
+        ["evolve", M1, "--tape", "1", "--dump-dir", ""],
         ["simulate"],  # missing the machine file
         ["simulate", M1, "--steps", "-3"],
         ["evolve", M1, "--steps", "-1"],
@@ -470,6 +473,7 @@ def test_usage_error_exit_code(capsys):
             main(argv)
         assert exc.value.code == 2, argv
         assert capsys.readouterr().out == "", argv
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_commands_are_deterministic(capsys):

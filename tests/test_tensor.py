@@ -125,6 +125,19 @@ def test_from_text_rejects_garbage():
         SparseTensor.from_text("dims 2 1 1  upper -1\n")  # no order-0 tensors
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("1 0 1 1 | 1 0 1 1 : 1", "coordinate has 2 quads"),
+        ("1 0 1 : 1", "does not have 4 components"),
+        ("3 0 1 1 : 1", "is outside"),
+    ],
+)
+def test_from_text_raises_tensor_error_on_a_coordinate_from_entries_refuses(line, message):
+    with pytest.raises(TensorError, match=message):
+        SparseTensor.from_text(f"dims 2 1 1  upper 0\n{line}\n")
+
+
 def test_from_text_rejects_duplicate_lines():
     with pytest.raises(ValueError):
         SparseTensor.from_text("dims 2 1 1  upper 0\n1 1 1 1 : 1\n1 1 1 1 : 1\n")
