@@ -35,7 +35,6 @@ from .machine import (
     MachineFile,
     RunStatus,
     Trace,
-    extend_delta,
     initial_configuration,
     machine_to_text,
     oracle_run,
@@ -76,7 +75,6 @@ __all__ = [
     "encode_config",
     "encode_machine",
     "evolve",
-    "extend_delta",
     "factors",
     "initial_configuration",
     "machine_to_text",

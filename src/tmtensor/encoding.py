@@ -3,8 +3,8 @@
 A configuration becomes a 0-1 tensor with one entry per cell, all sharing the
 (state, head) pair.  A machine becomes an order-8 0-1 tensor with one entry
 per inactive-cell index combination (successor state parked at slot 0) and one
-per active-cell combination (successor given by the extended transition map).
-Active entries whose move leaves the window are dropped and reported.
+per active-cell combination (successor given by the machine's rule).  Active
+entries whose move leaves the window are dropped and reported.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import DEFAULT_CAP, ResourceLimit, TensorError
-from .machine import Configuration, Machine, extend_delta
+from .machine import Configuration, Machine
 from .tensor import Coord, Dims, SparseTensor
 
 
@@ -64,8 +64,9 @@ def encode_machine(machine: Machine, cells: int) -> MachineEncoding:
     Entry (i1 j1, k1 l1) -> (i2 j2, k2 l2) is 1 when either
       * the cell is inactive (k1 != 0, i1 != l1) and keeps its symbol while the
         successor state is parked at slot 0 (i2=i1, j2=j1, k2=0, l2=l1), or
-      * the cell is active (k1 != 0, i1 = l1) and the extended transition map
-        fixes the successor (j2, k2, l2 = l1 + move), with l2 still in window.
+      * the cell is active (k1 != 0, i1 = l1) and the machine's rule
+        (j2, k2, move) = delta(j1, k1) fixes the successor, l2 = l1 + move
+        still in window; a halt state k1 keeps its symbol, state and cell.
     Active combinations whose l2 falls outside 1..cells are reported in
     ``dropped`` instead of being stored.  Raises ResourceLimit, before building
     anything, when the cells^2 * symbols * (states - 1) index combinations (a
@@ -75,7 +76,6 @@ def encode_machine(machine: Machine, cells: int) -> MachineEncoding:
     combinations = cells * cells * dims.symbols * (dims.states - 1)
     if combinations > DEFAULT_CAP:
         raise ResourceLimit(f"machine tensor has {combinations} index combinations, cap is {DEFAULT_CAP}")
-    ext = extend_delta(machine)
     entries: dict[Coord, int] = {}
     dropped: list[tuple[int, int, int]] = []
     width = dims.quad_bits
@@ -88,7 +88,7 @@ def encode_machine(machine: Machine, cells: int) -> MachineEncoding:
                 k_field = k1 << dims.l_bits
                 for lower in parked:
                     entries[(lower | k_field) << width | lower] = 1
-                j2, k2, move = ext[(j1, k1)]
+                j2, k2, move = machine.delta.get((j1, k1), (j1, k1, 0))
                 l2 = i1 + move
                 if 1 <= l2 <= cells:
                     entries[dims.quad(i1, j1, k1, i1) << width | dims.quad(i1, j2, k2, l2)] = 1

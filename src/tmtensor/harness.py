@@ -56,12 +56,14 @@ def _random_tensor(
     if upper_count < 0:
         raise ValueError("upper_count must be >= 0")
     # One draw per coordinate: refuse before drawing when that is over the cap.
-    draws = dims.quad_count ** (upper_count + 1)
-    if draws > DEFAULT_CAP:
-        raise ResourceLimit(f"random tensor would take {draws} draws, cap is {DEFAULT_CAP}")
+    # Every Dims has at least 2 quads and 2 ** DEFAULT_CAP.bit_length() is over
+    # the cap, so wider keys are refused without working out their draws.
+    groups = upper_count + 1
+    if groups >= DEFAULT_CAP.bit_length() or dims.quad_count ** groups > DEFAULT_CAP:
+        raise ResourceLimit(f"random tensor would take {dims.quad_count}^{groups} draws, cap is {DEFAULT_CAP}")
     quads = list(dims.iter_quads())
     entries: dict[Coord, int] = {}
-    for coord in itertools.product(quads, repeat=upper_count + 1):
+    for coord in itertools.product(quads, repeat=groups):
         if rng.random() < density:
             entries[dims.pack(coord)] = 1 + int(rng.random() * value_bound)
     return SparseTensor(dims, upper_count, entries)

@@ -1,9 +1,7 @@
 """Deterministic one-tape Turing machines over a bounded cell window.
 
-Covers the text description format, validation, the extension of the
-transition function to the bookkeeping state (slot 0) and to halt states
-(made absorbing), and the direct step-by-step simulator that serves as
-ground truth for the tensor side.
+Covers the text description format, validation, and the direct
+step-by-step simulator that serves as ground truth for the tensor side.
 """
 
 from __future__ import annotations
@@ -53,24 +51,6 @@ class Machine:
     def dims(self, cells: int) -> Dims:
         """Index bounds for tensors over a window of ``cells`` cells."""
         return Dims(cells=cells, symbols=self.m + 1, states=self.n + 1)
-
-
-def extend_delta(machine: Machine) -> dict[tuple[int, int], Rule]:
-    """Transition map made total on symbol x state-including-slot-0.
-
-    Slot 0 maps to itself without writing or moving; halt states do the same
-    (absorbing), so the map stays consistent past the halt step.  Moves are
-    -1, 0, or +1.
-    """
-    rules: dict[tuple[int, int], Rule] = {}
-    for j in range(machine.m + 1):
-        rules[(j, 0)] = (j, 0, 0)
-        for k in range(1, machine.n + 1):
-            if k in machine.halt_states:
-                rules[(j, k)] = (j, k, 0)
-            else:
-                rules[(j, k)] = machine.delta[(j, k)]
-    return rules
 
 
 @dataclass(frozen=True, slots=True)

@@ -34,7 +34,7 @@ def _check_type1_operands(a: SparseTensor, b: SparseTensor) -> None:
 
 def factors(a: SparseTensor, b: SparseTensor) -> tuple[PairMap, PairMap]:
     """The local and global factors, reading a's nonzero entries through a map
-    from their quads built once per call; an empty map reads nothing of b.
+    from their quads built once per call; an empty operand reads nothing.
 
     Only b's entries whose u upper quads all lie in supp(a) contribute, so
     there are L = |supp(a)|^u * quad_count candidate coordinates.  When L is
@@ -50,7 +50,7 @@ def factors(a: SparseTensor, b: SparseTensor) -> tuple[PairMap, PairMap]:
     local: PairMap = {}
     glob: PairMap = {}
     lookup = {quad: value for quad, value in a.entries.items() if value}
-    if not lookup:
+    if not lookup or not b.entries:
         return local, glob
     width, kl_bits = b.dims.quad_bits, b.dims.kl_bits
     quad_mask, kl_mask = (1 << width) - 1, (1 << kl_bits) - 1

@@ -389,6 +389,8 @@ def test_assoc_fails_on_entrywise_mismatch(capsys, monkeypatch):
         ["evolve", M1, "--cells", "2000"],
         # the second tensor of a trial would take 144^4 = 4.3e8 draws
         ["assoc", "--cells", "6", "--p", "3", "--trials", "1"],
+        # 16^1000001 draws, refused without working that number out
+        ["assoc", "--p", "1000000", "--trials", "1"],
         ["verify", M1, "--cells", "2000"],
         ["compose", M1, "--cells", "2000"],
     ],

@@ -10,7 +10,6 @@ from tmtensor import (
     decode_config,
     encode_config,
     encode_machine,
-    extend_delta,
     initial_configuration,
     parse_machine,
     restrict_k_nonzero,
@@ -19,9 +18,16 @@ from tmtensor import (
 from conftest import quads_of, tensor_of
 
 
+def rule(machine, j, k):
+    """The successor (symbol, state, move) of symbol j under state k: a halt
+    state keeps its symbol and state and does not move."""
+    if k in machine.halt_states:
+        return j, k, 0
+    return machine.delta[(j, k)]
+
+
 def brute_force_machine_tensor(machine, dims):
     """Direct enumeration of the two defining conditions over the full space."""
-    ext = extend_delta(machine)
     entries = {}
     quads = list(dims.iter_quads())
     for upper in quads:
@@ -32,7 +38,7 @@ def brute_force_machine_tensor(machine, dims):
             i2, j2, k2, l2 = lower
             inactive = i1 != l1 and i2 == i1 and j2 == j1 and k2 == 0 and l2 == l1
             if i1 == l1 and i2 == i1:
-                d1, d2, d3 = ext[(j1, k1)]
+                d1, d2, d3 = rule(machine, j1, k1)
                 active = j2 == d1 and k2 == d2 and l2 == l1 + d3
             else:
                 active = False
@@ -42,12 +48,11 @@ def brute_force_machine_tensor(machine, dims):
 
 
 def brute_force_dropped(machine, dims):
-    ext = extend_delta(machine)
     dropped = []
     for i1 in range(1, dims.cells + 1):
         for j1 in range(dims.symbols):
             for k1 in range(1, dims.states):
-                if not 1 <= i1 + ext[(j1, k1)][2] <= dims.cells:
+                if not 1 <= i1 + rule(machine, j1, k1)[2] <= dims.cells:
                     dropped.append((i1, j1, k1))
     return dropped
 

@@ -8,7 +8,6 @@ from tmtensor import (
     MachineFormatError,
     ResourceLimit,
     RunStatus,
-    extend_delta,
     initial_configuration,
     machine_to_text,
     oracle_run,
@@ -168,15 +167,6 @@ def test_tape_line_parsed_and_validated():
 def test_machine_round_trip(corpus):
     for name, machine, _ in corpus:
         assert parse_machine(machine_to_text(machine)) == machine, name
-
-
-def test_extend_delta_m1(m1):
-    ext = extend_delta(m1)
-    assert ext[(1, 0)] == (1, 0, 0)  # slot 0 neither writes nor moves
-    assert ext[(0, 2)] == (0, 2, 0)  # halt states absorb
-    assert ext[(1, 1)] == (1, 1, 1)
-    assert ext[(0, 1)] == (1, 2, 1)
-    assert set(ext) == {(j, k) for j in range(2) for k in range(3)}
 
 
 def test_oracle_step_m1(m1):

@@ -225,6 +225,22 @@ def test_factors_zero_configuration(m1):
     assert entries.iterations == 0
 
 
+def test_factors_empty_transition_reads_nothing():
+    # type1(a, 0) = 0: neither |supp(a)|^u nor a candidate list is worked out,
+    # however wide b's keys are.
+    dims = Dims(3, 2, 2)
+    a = encode_config(Configuration((1, 0, 1), head=2, state=1), dims)
+    b = SparseTensor(dims, 2**20, {})
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        assert factors(a, b) == ({}, {})
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
 def test_factors_single_entry():
     b = SparseTensor.from_entries(DIMS, 1, [(((1, 1, 1, 1), (2, 0, 1, 2)), 1)])
     a = SparseTensor.from_entries(DIMS, 0, [(((1, 1, 1, 1),), 5)])
