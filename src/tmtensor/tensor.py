@@ -129,13 +129,16 @@ def format_coord(quads: Sequence[Sequence[int]]) -> str:
 
 @dataclass(frozen=True)
 class SparseTensor:
-    """Immutable mapping from coordinates (ints packed by :meth:`Dims.pack`) to
-    nonzero integers.
+    """Nonzero integers keyed by coordinates (ints packed by :meth:`Dims.pack`).
 
-    Treat ``entries`` as read-only.  The constructor checks nothing: the package
-    builds finished, zero-free dicts and passes them straight in.  Outside input
-    goes through :meth:`from_entries`, which validates, sums duplicates and drops
-    zeros, or through :meth:`from_text`.
+    The fields are frozen, but ``entries`` is a plain dict: nothing in the
+    package changes it after construction, and callers must not change it
+    either.  ``hash()`` raises ``TypeError``, since a dict has no hash.
+
+    The constructor checks nothing: the package builds finished, zero-free
+    dicts and passes them straight in.  Outside input goes through
+    :meth:`from_entries`, which validates, sums duplicates and drops zeros, or
+    through :meth:`from_text`.
     """
 
     dims: Dims

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from tmtensor import Check, RunStatus, initial_configuration, oracle_run, type1
+from tmtensor import Check, initial_configuration, type1
 from tmtensor.cli import build_parser, main
 
 from conftest import input_words, machine_path, machine_text
@@ -28,22 +28,10 @@ def run(capsys, *argv):
     return code, captured.out.splitlines(), captured.err
 
 
-def test_simulate_m1_golden(capsys):
-    code, out, _ = run(capsys, "simulate", M1, "--tape", "1 1", "--cells", "4", "--steps", "10")
-    assert code == 0
-    assert out == M1_TRACE + ["status=halted"]
-
-
-def test_simulate_zero_steps(capsys):
-    code, out, _ = run(capsys, "simulate", M1, "--tape", "1 1", "--cells", "4", "--steps", "0")
-    assert code == 0
-    assert out == [M1_TRACE[0], "status=step-limit"]
-
-
 def test_simulate_missing_file(capsys):
     code, _, err = run(capsys, "simulate", "no/such/file.tm")
     assert code == 2
-    assert "error" in err
+    assert err.startswith("error:")
 
 
 def test_simulate_parse_error(tmp_path, capsys):
@@ -107,14 +95,6 @@ def test_evolve_matches_simulate_byte_for_byte(capsys, corpus):
                 assert out_sim[-1] == out_evo[-1], args  # same terminal status
                 pairs += 1
     assert pairs == 152
-
-
-def test_evolve_status_lines(capsys):
-    code, out, _ = run(capsys, "evolve", M1, "--tape", "1 1", "--cells", "4", "--steps", "10")
-    assert code == 0
-    assert "t=1 nnz=4 status=ok" in out
-    assert "t=4 nnz=8 status=halted" in out
-    assert out[-1] == "status=halted"
 
 
 def test_evolve_dump_dir_file_count(tmp_path, capsys):
@@ -191,15 +171,6 @@ def test_evolve_dumps_every_tensor_past_its_last_line(capsys, tmp_path, tape, st
     assert {path.name: path.read_text() for path in tmp_path.iterdir()} == expected
 
 
-def test_evolve_overflow_strict_exit(capsys):
-    args = ["--tape", "1 1 1 1", "--cells", "4", "--steps", "10"]
-    code, out, _ = run(capsys, "evolve", M1, *args)
-    assert code == 0
-    assert out[-1] == "status=overflow"
-    code, _, _ = run(capsys, "evolve", M1, *args, "--strict")
-    assert code == 1
-
-
 @pytest.mark.parametrize("steps", ["2500000", "1000000000"])
 @pytest.mark.parametrize(
     "command", [["simulate"], ["verify"], ["compose", "--tape", "1"]], ids=["simulate", "verify", "compose"]
@@ -217,14 +188,6 @@ def test_a_trace_over_the_cap_is_refused_before_simulating(capsys, monkeypatch, 
     assert out == (["power=2 upper=2 nnz=720"] if command[0] == "compose" else [])
 
 
-def test_verify_pass_and_zero_steps(capsys):
-    code, out, _ = run(capsys, "verify", M1, "--tape", "1 1", "--cells", "4", "--steps", "10")
-    assert code == 0
-    assert out[-1] == "CHECK evolution -> PASS"
-    code, out, _ = run(capsys, "verify", M1, "--tape", "1 1", "--cells", "4", "--steps", "0")
-    assert code == 0
-
-
 def test_verify_parse_failure_exit(tmp_path, capsys):
     bad = tmp_path / "bad.tm"
     bad.write_text("states: q1\n")
@@ -233,49 +196,22 @@ def test_verify_parse_failure_exit(tmp_path, capsys):
 
 
 # At window 3 the bouncer loses four edge entries: qb's left moves at cell 1
-# and qa's right moves at cell 3.
+# and qa's right moves at cell 3.  GOLDEN_MATRIX holds these three commands'
+# stdout.
 BOUNCER_DROPPED = (
     "dropped: i=1 j=0 k=2\n"
     "dropped: i=1 j=1 k=2\n"
     "dropped: i=3 j=0 k=1\n"
     "dropped: i=3 j=1 k=1\n"
 )
-BOUNCER_STDOUT = {
-    "evolve": [
-        "t=1 state=qa head=1 tape=1 _ _",
-        "t=1 nnz=3 status=ok",
-        "t=2 state=qb head=2 tape=1 _ _",
-        "t=2 nnz=6 status=ok",
-        "t=3 state=qa head=1 tape=1 1 _",
-        "t=3 nnz=6 status=ok",
-        "t=4 state=qb head=2 tape=1 1 _",
-        "t=4 nnz=6 status=ok",
-        "status=step-limit",
-    ],
-    "verify": [
-        "t=1 agree=yes",
-        "t=2 agree=yes",
-        "t=3 agree=yes",
-        "t=4 agree=yes",
-        "overflow oracle=no tensor=no agree=yes",
-        "CHECK evolution -> PASS",
-    ],
-    "compose": [
-        "power=2 upper=2 nnz=256",
-        "CHECK compose-action step=2 -> PASS",
-        "CHECK compose-action step=4 -> PASS",
-        "CHECK compose-action step=6 -> PASS",
-    ],
-}
 
 
-@pytest.mark.parametrize("command", list(BOUNCER_STDOUT))
+@pytest.mark.parametrize("command", ["evolve", "verify", "compose"])
 def test_every_machine_command_reports_dropped_entries(capsys, command):
     bouncer = str(machine_path("bouncer"))
-    code, out, err = run(capsys, command, bouncer, "--tape", "1", "--cells", "3", "--steps", "3")
+    code, _, err = run(capsys, command, bouncer, "--tape", "1", "--cells", "3", "--steps", "3")
     assert code == 0
     assert err == BOUNCER_DROPPED
-    assert out == BOUNCER_STDOUT[command]
 
 
 def test_a_repeated_halt_documentation_row_is_refused(tmp_path, capsys):
@@ -285,50 +221,6 @@ def test_a_repeated_halt_documentation_row_is_refused(tmp_path, capsys):
     assert code == 2
     assert out == []
     assert err.startswith("error:") and "duplicate rule for (q2, _)" in err
-
-
-def test_compose_power_two_action(capsys, corpus):
-    code, out, _ = run(
-        capsys, "compose", M1, "--tape", "1 1", "--cells", "4", "--power", "2", "--steps", "2"
-    )
-    assert code == 0
-    assert out[0].startswith("power=2 upper=2 nnz=")
-    assert out[1] == "CHECK compose-action step=2 -> PASS"
-    assert out[2] == "CHECK compose-action step=4 -> PASS"
-    # A full-window tape: m1 and binary_increment run off the window within
-    # four steps, so their later applications must leave no entry with a real
-    # state; the bouncer never leaves cells 1 and 2.
-    overflowed = []
-    for name, machine, _ in corpus:
-        tape = " ".join([machine.symbol_name(max(machine.input_symbols))] * 4)
-        trace = oracle_run(machine, initial_configuration(machine, tape.split(), 4), 4)
-        if trace.status is RunStatus.OVERFLOW and len(trace.configs) <= 4:
-            overflowed.append(name)
-        code, out, _ = run(
-            capsys, "compose", str(machine_path(name)),
-            "--tape", tape, "--cells", "4", "--power", "2", "--steps", "2",
-        )
-        assert code == 0, name
-        assert out[1:] == [
-            "CHECK compose-action step=2 -> PASS",
-            "CHECK compose-action step=4 -> PASS",
-        ], name
-    assert overflowed == ["m1_unary_append", "binary_increment"]
-
-
-def test_compose_power_one_is_the_machine_tensor(capsys, m1):
-    from tmtensor import encode_machine
-
-    code, out, _ = run(capsys, "compose", M1, "--cells", "4", "--power", "1")
-    assert code == 0
-    nnz = encode_machine(m1, 4).tensor.nnz
-    assert out == [f"power=1 upper=1 nnz={nnz}"]
-
-
-def test_compose_resource_limit_exit(capsys):
-    code, _, err = run(capsys, "compose", M1, "--cells", "4", "--power", "4", "--cap", "1000")
-    assert code == 3
-    assert "error" in err
 
 
 def test_a_power_over_the_upper_group_cap_is_refused(capsys):
@@ -343,27 +235,11 @@ def test_a_power_over_the_upper_group_cap_is_refused(capsys):
     assert err.splitlines()[-1] == "error: composition would have 16777216 upper groups, cap is 10000000"
 
 
-def test_assoc_trials_pass(capsys):
-    code, out, _ = run(capsys, "assoc", "--trials", "5", "--seed", "3", "--density", "0.2")
-    assert code == 0
-    assert len(out) == 5
-    assert all(line.endswith("PASS") for line in out)
-
-
 def test_assoc_zero_trials(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["assoc", "--trials", "0"])
     assert exc.value.code == 2
     assert capsys.readouterr().out == ""
-
-
-def test_assoc_with_pure_trials(capsys):
-    code, out, _ = run(
-        capsys, "assoc", "--trials", "2", "--r", "1", "--density", "0.05", "--seed", "1"
-    )
-    assert code == 0
-    assert any("type2-assoc-action" in line for line in out)
-    assert any("type2-assoc-entrywise" in line for line in out)
 
 
 def test_assoc_fails_on_entrywise_mismatch(capsys, monkeypatch):
@@ -478,23 +354,13 @@ def test_usage_error_exit_code(capsys, tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_commands_are_deterministic(capsys):
-    args = ["assoc", "--trials", "3", "--seed", "11", "--r", "1", "--density", "0.05"]
-    _, first, _ = run(capsys, *args)
-    _, second, _ = run(capsys, *args)
-    assert first == second
-    args = ["verify", M1, "--tape", "1 1", "--cells", "4", "--steps", "6"]
-    _, first, _ = run(capsys, *args)
-    _, second, _ = run(capsys, *args)
-    assert first == second
-
-
 # The stdout contract: a fixed matrix of invocations whose stdout and exit code
 # must match tests/golden/cli.txt byte for byte.  These tests check it
 # in-process; CI replays every block, read with read_golden, through the
 # installed script and the module entry point.  Regenerate the file with
 # `PYTHONPATH=src python tests/test_cli.py` from the repository root, and only
-# when an output change is intended.
+# when an output change is intended.  New rows go at the end, so every block
+# keeps its place.  An argv in the matrix has its stdout asserted nowhere else.
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden" / "cli.txt"
 
@@ -529,6 +395,11 @@ GOLDEN_MATRIX = [
     ("assoc", "--trials", "8", "--r", "1", "--density", "0.05", "--cap", "40000"),
     ("compose", "tests/machines/m1_unary_append.tm", "--cells", "4", "--power", "4", "--cap", "1000"),
     ("simulate", "tests/machines/no_such_machine.tm"),
+    ("simulate", "tests/machines/m1_unary_append.tm", "--tape", "1 1", "--cells", "4", "--steps", "0"),
+] + [
+    # the bouncer at window 3, which drops four edge entries on stderr
+    (command, "tests/machines/bouncer.tm", "--tape", "1", "--cells", "3", "--steps", "3")
+    for command in ("evolve", "verify", "compose")
 ]
 
 

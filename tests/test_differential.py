@@ -3,7 +3,9 @@ random machines.
 
 Every machine of the two smallest classes (one or two real states, two
 symbols) is run at windows 3 and 4.  Every configuration of a window is
-advanced by one application of a corpus machine's tensor or of its square.
+advanced by one application of a corpus machine's tensor or of its square,
+and, at windows 3 and 4, of the composite of every ordered pair of machines
+of the smallest class.
 A seeded generator draws total deterministic machines from the larger classes
 (1-3 real states, some of them halting, 2-3 symbols, L/R moves) with a window
 of 2-5 cells and a random input word.  Left alone, almost every draw halts, so
@@ -28,9 +30,11 @@ from tmtensor import (
     initial_configuration,
     machine_to_text,
     oracle_run,
+    oracle_step,
     parse_machine,
     restrict_k_nonzero,
     type1,
+    type2,
     type2_power,
     verify_evolution,
     verify_power,
@@ -132,26 +136,50 @@ def every_configuration(machine, cells):
                 yield Configuration(tape, head, state)
 
 
-def first_window_failure(machine, transition, power):
+def after_steps(machines, config):
+    """``config`` after one step of each of ``machines`` in turn, or None once
+    a step leaves the window.  A halted state holds its configuration."""
+    for machine in machines:
+        step = oracle_step(machine, config)
+        if step is RunStatus.OVERFLOW:
+            return None
+        if step is not RunStatus.HALTED:
+            config = step
+    return config
+
+
+def first_window_failure(machines, transition):
     """The first configuration c of the transition tensor's window whose
     restricted product ``type1(encode_config(c), transition)`` is not the
-    encoding of c's configuration ``power`` steps later, or None.  A halted
-    state holds its configuration, and a run that leaves the window expects the
-    empty tensor.  With none found, every run in the window agrees at every
-    step by induction: the transition tensor reads no upper quad with state
-    slot 0, and off that slot each evolved tensor is a configuration's or
-    empty."""
+    encoding of ``after_steps(machines, c)``, or None; a run that leaves the
+    window expects the empty tensor.  With none found, every run in the window
+    agrees at every step by induction: the transition tensor reads no upper
+    quad with state slot 0, and off that slot each evolved tensor is a
+    configuration's or empty."""
     dims = transition.dims
     empty = SparseTensor(dims, 0, {})
-    for config in every_configuration(machine, dims.cells):
-        trace = oracle_run(machine, config, power)
-        if trace.status is RunStatus.OVERFLOW:
-            expected = empty
-        else:
-            expected = encode_config(trace.configs[-1], dims)
+    for config in every_configuration(machines[0], dims.cells):
+        after = after_steps(machines, config)
+        expected = empty if after is None else encode_config(after, dims)
         if restrict_k_nonzero(type1(encode_config(config, dims), transition)) != expected:
             return config
     return None
+
+
+def without_an_active_entry(machines, transition):
+    """The transition tensor less its least entry whose every upper group
+    reads the head cell of the window's first configuration that ``machines``
+    keep in the window.  That configuration's product loses a term of its
+    local factor, which meets a nonzero global factor of real states, so the
+    loss shows."""
+    config = next(
+        c for c in every_configuration(machines[0], transition.dims.cells)
+        if after_steps(machines, c) is not None
+    )
+    head = (config.head, config.tape[config.head - 1], config.state, config.head)
+    entries = quads_of(transition)
+    del entries[min(coord for coord in entries if set(coord[:-1]) == {head})]
+    return tensor_of(transition.dims, transition.upper_count, entries)
 
 
 # (corpus machine, window, power of its tensor).
@@ -167,28 +195,50 @@ WINDOW_CASES = [
 
 def window_case(name, cells, power):
     machine = parse_machine(machine_text(name))
-    return machine, type2_power(encode_machine(machine, cells).tensor, power)
+    return [machine] * power, type2_power(encode_machine(machine, cells).tensor, power)
 
 
 @pytest.mark.parametrize("name,cells,power", WINDOW_CASES)
 def test_every_configuration_of_the_window_advances(name, cells, power):
-    machine, transition = window_case(name, cells, power)
-    assert first_window_failure(machine, transition, power) is None
+    machines, transition = window_case(name, cells, power)
+    assert first_window_failure(machines, transition) is None
 
 
 @pytest.mark.parametrize("name,cells,power", WINDOW_CASES)
 def test_the_window_check_catches_a_missing_active_entry(name, cells, power):
-    # An active entry reads the head cell in each upper group; every
-    # configuration with that head, state and symbol reads it.
-    machine, transition = window_case(name, cells, power)
-    entries = quads_of(transition)
-    active = min(
-        coord for coord in entries
-        if len(set(coord[:-1])) == 1 and coord[0][0] == coord[0][3]
-    )
-    del entries[active]
-    faulty = tensor_of(transition.dims, transition.upper_count, entries)
-    assert first_window_failure(machine, faulty, power) is not None
+    machines, transition = window_case(name, cells, power)
+    assert first_window_failure(machines, without_an_active_entry(machines, transition)) is not None
+
+
+@pytest.fixture(scope="module", params=[3, 4], ids=lambda cells: f"cells={cells}")
+def pairs(request):
+    """Every ordered pair (M, M') of the (1, 1) class, with type2(B_M, B_M')
+    at one window."""
+    encoded = [(machine, encode_machine(machine, request.param).tensor) for machine in every_machine(1, 1)]
+    return [((m, m_next), type2(b, b_next)) for (m, b), (m_next, b_next) in itertools.product(encoded, repeat=2)]
+
+
+def test_every_pair_of_small_machines_composes_in_order(pairs):
+    # b∘c applies b, then c.
+    assert len(pairs) == 256
+    for machines, composite in pairs:
+        assert first_window_failure(machines, composite) is None, [machine_to_text(m) for m in machines]
+
+
+def test_the_window_check_catches_a_swapped_order(pairs):
+    # In the (1, 1) class, only a machine composed with itself gives the same
+    # map on the window whichever way round it is read.
+    swapped = [
+        machines for machines, composite in pairs
+        if first_window_failure(machines[::-1], composite) is not None
+    ]
+    assert swapped == [machines for machines, _ in pairs if machines[0] != machines[1]]
+
+
+def test_the_window_check_catches_a_missing_active_entry_of_a_pair(pairs):
+    for machines, composite in pairs:
+        faulty = without_an_active_entry(machines, composite)
+        assert first_window_failure(machines, faulty) is not None, [machine_to_text(m) for m in machines]
 
 
 def test_machine_text_round_trips(cases):
