@@ -5,8 +5,6 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the verdict lines.
 
 from random import Random
 
-import pytest
-
 from tmtensor import (
     Configuration,
     Dims,
