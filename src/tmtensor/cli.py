@@ -1,7 +1,8 @@
 """Command-line frontend: simulate, evolve, verify, compose, assoc.
 
-All results go to stdout as plain text, diagnostics to stderr.  Exit codes:
-0 success/PASS, 1 verification FAIL, 2 usage or parse error, 3 resource limit.
+All results go to stdout as plain text, each line as soon as it is made, and
+diagnostics to stderr.  Exit codes: 0 success/PASS, 1 verification FAIL, 2
+usage or parse error, 3 resource limit.
 
 The argument parser is built once per process, on the first ``main`` call,
 and reused after that: ``main(argv)`` may be called repeatedly in one process,
@@ -62,12 +63,16 @@ def _load_encoded(args: argparse.Namespace) -> tuple[Machine, list[str] | None, 
     return machine, tokens, b
 
 
-def _print_checks(checks: Iterable[Check]) -> int:
-    """Print each verdict line as it comes; 0 if every check passed, else 1."""
+def _print_checks(report: Iterable[str | Check]) -> int:
+    """Write each line of ``report`` to stdout as it comes, a ``Check`` as its
+    verdict line; 0 if every check passed, else 1."""
+    write = sys.stdout.write  # about a third of ``print``'s cost per line
     failed = False
-    for check in checks:
-        print(check.line())
-        failed = failed or not check.passed
+    for item in report:
+        if isinstance(item, Check):
+            failed = failed or not item.passed
+            item = item.line()
+        write(item + "\n")
     return 1 if failed else 0
 
 
@@ -123,9 +128,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     machine, tokens, b = _load_encoded(args)
-    lines, check = verify_evolution(machine, tokens or [], b, args.steps)
-    print("\n".join(lines))
-    return _print_checks([check])
+    return _print_checks(verify_evolution(machine, tokens or [], b, args.steps))
 
 
 def cmd_compose(args: argparse.Namespace) -> int:

@@ -1,6 +1,6 @@
-"""Verification battery: simulator-vs-tensor equivalence, associativity trials
-on seeded random tensors, nonzero-count audits, and the reproducible random
-generators behind them.
+"""Verification battery: simulator-vs-tensor equivalence, yielded one compared
+step at a time, associativity trials on seeded random tensors, nonzero-count
+audits, and the reproducible random generators behind them.
 
 Randomness comes from ``random.Random(seed)`` (Mersenne Twister) using only
 its ``random()`` method, whose sequence is guaranteed stable across Python
@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from random import Random
+from typing import Iterator
 
 from .encoding import MachineEncoding, encode_config, restrict_k_nonzero
 from .errors import DEFAULT_CAP, ResourceLimit
@@ -88,18 +89,13 @@ def _run(
     transition: SparseTensor,
     stride: int,
     applications: int,
-) -> tuple[list[bool], int | None, int | None]:
-    """Simulate ``stride * applications`` steps and apply ``transition``
-    ``applications`` times from the same initial configuration; return the
-    run record ``(agree, overflow, oracle_overflow)``.  ``agree[a]`` says
-    whether the tensor after a applications restricts to the simulator's
-    configuration at trajectory index 1 + a * stride; ``overflow`` is the
-    first application whose restriction is empty and ``oracle_overflow`` the
-    simulator step that left the window, each None if there is none.  Past
-    the end of the simulation the last expected tensor stands in: a halted
-    run holds its last configuration, and an overflowed run is empty off the
-    window.  The tensors are read one at a time, and each compared
-    configuration is encoded once, when it is first compared."""
+) -> Iterator[tuple[SparseTensor, SparseTensor]]:
+    """Apply ``transition`` ``applications`` times and simulate ``stride *
+    applications`` steps from one initial configuration, yielding for a = 0..
+    applications the restriction of the tensor after a applications and the
+    encoded configuration at trajectory index a * stride.  Past the end of the
+    simulation a halted run holds its last configuration and an overflowed run
+    is empty.  Each compared configuration is encoded once, when first needed."""
     dims = transition.dims
     initial = initial_configuration(machine, tape, dims.cells)
     expected = encode_config(initial, dims)
@@ -107,25 +103,15 @@ def _run(
     tensors = evolve(expected, transition, applications)
     trace = oracle_run(machine, initial, stride * applications)
     configs = trace.configs
-    oracle_overflow = len(configs) if trace.status is RunStatus.OVERFLOW else None
     # Index len(configs), the overflow step, stands for the empty tensor.
-    last = len(configs) - 1 if oracle_overflow is None else oracle_overflow
+    last = len(configs) if trace.status is RunStatus.OVERFLOW else len(configs) - 1
     index = 0
-    agree: list[bool] = []
-    overflow = None
     for a, a_t in enumerate(tensors):
         step = min(a * stride, last)
         if step != index:
             index = step
-            if index < len(configs):
-                expected = encode_config(configs[index], dims)
-            else:
-                expected = SparseTensor(dims, 0, {})
-        restricted = restrict_k_nonzero(a_t)
-        agree.append(restricted == expected)
-        if overflow is None and restricted.is_zero:
-            overflow = a
-    return agree, overflow, oracle_overflow
+            expected = encode_config(configs[index], dims) if index < len(configs) else SparseTensor(dims, 0, {})
+        yield restrict_k_nonzero(a_t), expected
 
 
 def verify_evolution(
@@ -133,23 +119,33 @@ def verify_evolution(
     tape: list[str] | tuple[str, ...],
     transition: SparseTensor,
     steps: int,
-) -> tuple[list[str], Check]:
+) -> Iterator[str | Check]:
     """Check that restricting each tensor evolved by ``transition`` re-encodes
     the simulator's configuration at that step, with halting absorbed and
-    overflow coinciding.  Returns one ``t=<t> agree=yes|no`` line per compared
-    step and an ``overflow`` line, then the verdict."""
-    agree, overflow, oracle_overflow = _run(machine, tape, transition, 1, steps)
-
-    # Past an overflow the overflow step is compared instead of the tensors.
-    agree = agree[:oracle_overflow]
+    overflow coinciding.  Yields a ``t=<t> agree=yes|no`` line per compared
+    step, an ``overflow`` line, then the verdict; a refusal raises before the
+    first line.  Once both sides' overflows are known, nothing more is computed."""
+    run = enumerate(_run(machine, tape, transition, 1, steps))
+    overflow = oracle_overflow = None
+    agreed = True
+    for a, (restricted, expected) in run:
+        if overflow is None and restricted.is_zero:
+            overflow = a
+        if expected.is_zero:  # the simulator left the window at step a
+            oracle_overflow = a
+            break
+        ok = restricted == expected
+        agreed = agreed and ok
+        yield f"t={a + 1} agree={'yes' if ok else 'no'}"
+    if overflow is None:
+        overflow = next((a for a, (restricted, _) in run if restricted.is_zero), None)
     overflow_agree = overflow == oracle_overflow
-    lines = [f"t={t} agree={'yes' if ok else 'no'}" for t, ok in enumerate(agree, start=1)]
     tensor = "no" if overflow is None else f"step {overflow}"
-    lines.append(
+    yield (
         f"overflow oracle={'no' if oracle_overflow is None else 'yes'} tensor={tensor} "
         f"agree={'yes' if overflow_agree else 'no'}"
     )
-    return lines, Check("evolution", "", overflow_agree and all(agree))
+    yield Check("evolution", "", overflow_agree and agreed)
 
 
 def verify_power(
@@ -158,16 +154,17 @@ def verify_power(
     transition: SparseTensor,
     power: int,
     steps: int,
-) -> list[Check]:
+) -> Iterator[Check]:
     """Check that each application of ``transition`` advances the simulator
-    ``power`` steps, absorbing once halted and empty once off the window."""
+    ``power`` steps, absorbing once halted and empty once off the window.
+    Yields one check per application as it is made; a refusal raises before
+    the first."""
     if power < 1:
         raise ValueError("power must be >= 1")
-    agree, _, _ = _run(machine, tape, transition, power, steps)
-    return [
-        Check("compose-action", f"step={application * power}", agree[application])
-        for application in range(1, steps + 1)
-    ]
+    # Application 0 would compare the initial configuration with itself.
+    run = itertools.islice(_run(machine, tape, transition, power, steps), 1, None)
+    for application, (restricted, expected) in enumerate(run, start=1):
+        yield Check("compose-action", f"step={application * power}", restricted == expected)
 
 
 def mixed_assoc_trial(

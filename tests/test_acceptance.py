@@ -17,12 +17,12 @@ from tmtensor import (
     evolve,
     initial_configuration,
     mixed_assoc_trial,
-    oracle_run,
     restrict_k_nonzero,
     type1,
     type2_assoc_trial,
     type2_power,
     verify_evolution,
+    verify_power,
 )
 
 SMALL = Dims(2, 2, 2)   # window 2, m=1, n=1
@@ -40,13 +40,13 @@ def test_criterion_1_evolution_equivalence(corpus):
     cases = 0
     for name, machine, tape in corpus:
         for cells in (4, 8):
-            _, check = verify_evolution(machine, tape, encode_machine(machine, cells).tensor, 20)
+            *_, check = verify_evolution(machine, tape, encode_machine(machine, cells).tensor, 20)
             cases += 1
             if not check.passed:
                 failures.append((name, cells))
     # window-overflow run: both sides must lose the machine at the same step
     m1 = corpus[0][1]
-    lines, check = verify_evolution(m1, ["1", "1", "1", "1"], encode_machine(m1, 4).tensor, 20)
+    *lines, check = verify_evolution(m1, ["1", "1", "1", "1"], encode_machine(m1, 4).tensor, 20)
     cases += 1
     if not (check.passed and lines[-1].startswith("overflow oracle=yes")):
         failures.append(("m1 overflow", 4))
@@ -75,28 +75,18 @@ def test_criterion_3_composition_semantics(corpus):
     notes = []
     for name, machine, tape in corpus:
         # squared tensor advances two steps at once
-        dims = machine.dims(4)
-        b = encode_machine(machine, 4).tensor
-        squared = type2_power(b, 2)
-        trace = oracle_run(machine, initial_configuration(machine, tape, 4), 2)
-        a1 = encode_config(trace.configs[0], dims)
-        expected = encode_config(trace.configs[min(2, len(trace.configs) - 1)], dims)
-        if restrict_k_nonzero(type1(a1, squared)) != expected:
+        squared = type2_power(encode_machine(machine, 4).tensor, 2)
+        if not all(check.passed for check in verify_power(machine, tape, squared, 2, 1)):
             failures.append((name, "power 2"))
 
         # fourth power where the entry budget allows (window 2 keeps it small)
-        dims2 = machine.dims(2)
         tape2 = ["0"] if name == "binary_increment" else []
-        b2 = encode_machine(machine, 2).tensor
         try:
-            fourth = type2_power(b2, 4)
+            fourth = type2_power(encode_machine(machine, 2).tensor, 4)
         except ResourceLimit:
             notes.append(f"{name}: power 4 skipped, resource cap")
             continue
-        trace = oracle_run(machine, initial_configuration(machine, tape2, 2), 4)
-        a1 = encode_config(trace.configs[0], dims2)
-        expected = encode_config(trace.configs[min(4, len(trace.configs) - 1)], dims2)
-        if restrict_k_nonzero(type1(a1, fourth)) != expected:
+        if not all(check.passed for check in verify_power(machine, tape2, fourth, 4, 1)):
             failures.append((name, "power 4"))
     for note in notes:
         print(f"note: {note}")

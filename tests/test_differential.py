@@ -125,7 +125,7 @@ def test_every_small_machine_matches_the_simulator(n, m):
             encoding = encode_machine(machine, cells)
             assert audit_nnz(machine, encoding).passed, (machine_to_text(machine), cells)
             for tape in ([], ["1"], ["1", "1"]):
-                lines, check = verify_evolution(machine, tape, encoding.tensor, 2 * cells + 2)
+                *lines, check = verify_evolution(machine, tape, encoding.tensor, 2 * cells + 2)
                 assert check.passed, (machine_to_text(machine), cells, tape, lines)
 
 
@@ -249,7 +249,7 @@ def test_machine_text_round_trips(cases):
 def test_tensor_evolution_matches_the_simulator(cases):
     for machine, cells, tape, steps, _ in cases:
         encoding = encode_machine(machine, cells)
-        lines, check = verify_evolution(machine, tape, encoding.tensor, steps)
+        *lines, check = verify_evolution(machine, tape, encoding.tensor, steps)
         assert check.passed, (machine_to_text(machine), cells, tape, lines)
         assert audit_nnz(machine, encoding).passed, (machine_to_text(machine), cells)
 

@@ -1,3 +1,6 @@
+import collections
+import tracemalloc
+
 import pytest
 
 from tmtensor import (
@@ -31,7 +34,7 @@ def test_verify_evolution_corrupted_b_names_the_step(m1):
     # drop one inactive-cell entry: cell 2 no longer carries its symbol forward
     broken = dict(b.entries)
     del broken[b.dims.pack(((2, 1, 1, 1), (2, 1, 0, 1)))]
-    lines, check = verify_evolution(m1, ["1", "1"], SparseTensor(b.dims, 1, broken), 10)
+    *lines, check = verify_evolution(m1, ["1", "1"], SparseTensor(b.dims, 1, broken), 10)
     assert not check.passed
     assert lines[:2] == ["t=1 agree=yes", "t=2 agree=no"]  # trajectory index 2
     # Step 2 leaves an empty restriction, even though the tensor it starts
@@ -57,14 +60,46 @@ def test_verify_evolution_restricts_every_tensor_and_encodes_every_configuration
 
     monkeypatch.setattr("tmtensor.harness.restrict_k_nonzero", counted("restrict", restrict_k_nonzero))
     monkeypatch.setattr("tmtensor.harness.encode_config", counted("encode", encode_config))
-    lines, check = verify_evolution(m1, ["1", "1"], encode_machine(m1, 32).tensor, 62)
+    *lines, check = verify_evolution(m1, ["1", "1"], encode_machine(m1, 32).tensor, 62)
     assert check.passed and len(lines) == 64
     assert calls == {"restrict": 63, "encode": 4}
 
 
+def test_verify_evolution_holds_one_line_at_a_time(m1):
+    # m1 halts after 3 steps, so 50,000 steps repeat one tensor and one
+    # configuration; a reader that keeps only the verdict holds no report.
+    b = encode_machine(m1, 4).tensor
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        (check,) = collections.deque(verify_evolution(m1, ["1", "1"], b, 50_000), maxlen=1)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert check.passed
+    assert peak < 1024 * 1024
+
+
+def test_verify_evolution_stops_once_both_sides_have_overflowed(monkeypatch, m1):
+    # On a blank tape at window 1, m1 leaves the window at step 1 on both
+    # sides: A_1 and A_2 are restricted, and no later tensor is computed.
+    calls = 0
+
+    def counted(tensor):
+        nonlocal calls
+        calls += 1
+        return restrict_k_nonzero(tensor)
+
+    monkeypatch.setattr("tmtensor.harness.restrict_k_nonzero", counted)
+    *lines, check = verify_evolution(m1, [], encode_machine(m1, 1).tensor, 100_000)
+    assert calls <= 2
+    assert check.passed
+    assert lines == ["t=1 agree=yes", "overflow oracle=yes tensor=step 1 agree=yes"]
+
+
 def test_verify_power(m1):
     # b advances one step per application, not the two claimed
-    checks = verify_power(m1, ["1", "1"], encode_machine(m1, 4).tensor, 2, 2)
+    checks = list(verify_power(m1, ["1", "1"], encode_machine(m1, 4).tensor, 2, 2))
     assert checks[0].line() == "CHECK compose-action step=2 -> FAIL"
 
 
@@ -78,7 +113,7 @@ def test_verify_power_encodes_only_the_compared_configurations(monkeypatch, boun
 
     two_steps = type2_power(encode_machine(bouncer, 4).tensor, 2)
     monkeypatch.setattr("tmtensor.harness.encode_config", counted)
-    checks = verify_power(bouncer, [], two_steps, 2, 3)
+    checks = list(verify_power(bouncer, [], two_steps, 2, 3))
     assert all(check.passed for check in checks)
     # 3 applications of the square simulate 6 steps, 7 configurations; the
     # initial one and the three after each application are compared.
@@ -88,10 +123,11 @@ def test_verify_power_encodes_only_the_compared_configurations(monkeypatch, boun
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda m1, b: verify_evolution(m1, ["1", "1"], b, -1), "^steps must be >= 0"),
-        (lambda m1, b: verify_power(m1, ["1", "1"], b, 2, -1), "^steps must be >= 0"),
-        (lambda m1, b: verify_power(m1, ["1", "1"], b, 0, 2), "power must be >= 1"),
-        (lambda m1, b: verify_power(m1, ["1", "1"], b, -1, 2), "power must be >= 1"),
+        # The verifiers are lazy: a refusal raises on the first item.
+        (lambda m1, b: list(verify_evolution(m1, ["1", "1"], b, -1)), "^steps must be >= 0"),
+        (lambda m1, b: list(verify_power(m1, ["1", "1"], b, 2, -1)), "^steps must be >= 0"),
+        (lambda m1, b: list(verify_power(m1, ["1", "1"], b, 0, 2)), "power must be >= 1"),
+        (lambda m1, b: list(verify_power(m1, ["1", "1"], b, -1, 2)), "power must be >= 1"),
         (lambda m1, b: random_tensor(SMALL, -1, 0.5, 3, 0), "upper_count must be >= 0"),
     ],
     ids=["evolution-steps", "power-steps", "power-0", "power-negative", "upper-count"],

@@ -236,8 +236,8 @@ def test_no_function_changes_a_tensor_it_receives(corpus):
             (restricted,) = operands(restrict_k_nonzero(a_t))
             if not restricted.is_zero:  # empty once off the window
                 decode_config(restricted)
-        verify_evolution(machine, tape, b, 4)
-        verify_power(machine, tape, b2, 2, 2)
+        list(verify_evolution(machine, tape, b, 4))
+        list(verify_power(machine, tape, b2, 2, 2))
         audit_nnz(machine, encoding)
         b.to_text()
 
