@@ -135,10 +135,13 @@ def type2(b: SparseTensor, c: SparseTensor, cap: int = DEFAULT_CAP) -> SparseTen
     pass over the stage files each entry under its group and its (i, j)
     pair and adds its G terms into that pair's row h as it goes; then, for
     each U_s, the h rows of the group's pairs whose L holds U_s are summed
-    under V_s's number.  A row may hold sums that came to 0: they are
-    skipped where the row is spelled out and add 0 where rows merge.  Keys
-    of different groups or of different (U_s, V_s) differ, so each key is
-    built once, when its nonzero sum is stored; a zero sum is never stored.
+    under V_s's number.  A group of one pair, as most groups of a machine
+    composite are, has nothing to merge: each U_s of its L writes
+    L(U_s) h(V_s) straight into the result.  A row may hold sums that came
+    to 0: they are skipped where the row is spelled out and add 0 where rows
+    merge.  Keys of different groups or of different (U_s, V_s) differ, so
+    each key is built once, when its nonzero sum is stored; a zero sum is
+    never stored.
 
     Raises ResourceLimit, before building anything, when the result would
     have more than ``DEFAULT_CAP`` upper groups, and, before accumulating
@@ -218,10 +221,11 @@ def type2(b: SparseTensor, c: SparseTensor, cap: int = DEFAULT_CAP) -> SparseTen
     # Entries whose keys agree once the slot's bits are cleared form a group.
     # One pass files each entry under its group and (i, j) pair and adds its
     # G terms into that pair's row h[V]; then each U sums the h rows of the
-    # pairs whose L holds it.  A key is its group's bits above the slot, then
-    # U, as its head, and V, then the group's bits below the slot, as its
-    # tail.  Keys from different groups or different (U, V) differ, so each
-    # key is built once and stored once, nonzero.
+    # pairs whose L holds it, or, in a group of one pair, that pair's row is
+    # spelled straight into the result.  A key is its group's bits above the
+    # slot, then U, as its head, and V, then the group's bits below the slot,
+    # as its tail.  Keys from different groups or different (U, V) differ, so
+    # each key is built once and stored once, nonzero.
     block = b.upper_count * width
     for shift in slot_shifts:
         keep = ~(quad_mask << shift)
@@ -241,6 +245,14 @@ def type2(b: SparseTensor, c: SparseTensor, cap: int = DEFAULT_CAP) -> SparseTen
             key, pairs = groups.popitem()
             above = key >> (shift + width) << (2 * block + shift)
             rest = key & below
+            if len(pairs) == 1:
+                [(pair, h)] = pairs.items()
+                spelled = [(tails[n] | rest, hv) for n, hv in h.items() if hv]
+                for u, weight in local_index[pair]:
+                    head = above | heads[u]
+                    for tail, hv in spelled:
+                        entries[head | tail] = weight * hv
+                continue
             # Each row keeps h by V's number, for merging, where a zero h[V]
             # adds 0, and its nonzero h spelled out as (tail, h[V]), for a U
             # that only it holds.  A row whose sums all came to 0 spells

@@ -5,7 +5,9 @@ Every machine of the two smallest classes (one or two real states, two
 symbols) is run at windows 3 and 4.  Every configuration of a window is
 advanced by one application of a corpus machine's tensor or of its square,
 and, at windows 3 and 4, of the composite of every ordered pair of machines
-of the smallest class.
+of the smallest class.  Drawn triples of the next class are composed both ways
+round at window 3; the two composites must be equal and act as the three
+machines in turn.
 A seeded generator draws total deterministic machines from the larger classes
 (1-3 real states, some of them halting, 2-3 symbols, L/R moves) with a window
 of 2-5 cells and a random input word.  Left alone, almost every draw halts, so
@@ -45,6 +47,7 @@ from conftest import machine_text, quads_of, tensor_of
 
 SEED = 2024
 PER_STATUS = 60
+TRIPLES = 30
 MAX_DRAWS = 20_000
 # The classes of n real states and m + 1 symbols that are checked machine by
 # machine, with their sizes; random draws come from the other classes.
@@ -239,6 +242,23 @@ def test_the_window_check_catches_a_missing_active_entry_of_a_pair(pairs):
     for machines, composite in pairs:
         faulty = without_an_active_entry(machines, composite)
         assert first_window_failure(machines, faulty) is not None, [machine_to_text(m) for m in machines]
+
+
+def test_drawn_triples_of_machines_compose_associatively():
+    # The paper's associative law on machine tensors: (b∘c)∘f equals b∘(c∘f)
+    # entry by entry, and applies M, then M', then M''.  The left side, one
+    # slot of f, files almost every group under one (i, j) pair; the right
+    # side, two slots of c∘f, files most under several.  So the law checks
+    # type2's lone-pair expansion against its merging one.
+    machines = list(every_machine(2, 1))
+    rng = Random(SEED)
+    for _ in range(TRIPLES):
+        triple = rng.choices(machines, k=3)
+        b, c, f = (encode_machine(machine, 3).tensor for machine in triple)
+        left = type2(type2(b, c), f)
+        texts = [machine_to_text(machine) for machine in triple]
+        assert left == type2(b, type2(c, f)), texts
+        assert first_window_failure(triple, left) is None, texts
 
 
 def test_machine_text_round_trips(cases):

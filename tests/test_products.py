@@ -123,7 +123,9 @@ def first_slot_rows(b, c):
     the (group, U) whose L holds U at exactly one pair with a nonzero row
     ("single") and at two or more ("merged"); and the merged sums
     sum_ij L(U; ij) h_ij(V) that have a nonzero term and still come to 0
-    ("cancelled merged")."""
+    ("cancelled merged").  Also counts the groups that hold exactly one pair,
+    whose row is nonzero ("lone pair"), and those of them whose L holds a
+    weight other than 0 and 1 ("lone pair, L weight not 0 or 1")."""
     margins = {"local": {}, "global": {}}
     for coord, value in quads_of(b).items():
         i, j, k, l = coord[-1]
@@ -139,15 +141,20 @@ def first_slot_rows(b, c):
                 row[upper] = row.get(upper, 0) + cv * g
     counts = dict.fromkeys(
         ("cancelled h", "cancelled row", "cancelled row, U alone", "cancelled row, U shared",
-         "single", "merged", "cancelled merged"),
+         "single", "merged", "cancelled merged", "lone pair", "lone pair, L weight not 0 or 1"),
         0,
     )
+    pair_counts = collections.Counter(rest for rest, _ in rows)
     held = {}
     cancelled = set()
     for (rest, pair), row in rows.items():
         counts["cancelled h"] += sum(1 for hv in row.values() if not hv)
         counts["cancelled row"] += bool(row) and not any(row.values())
         live = {v: hv for v, hv in row.items() if hv}
+        if pair_counts[rest] == 1 and live:
+            counts["lone pair"] += 1
+            weights = set(margins["local"].get(pair, {}).values())
+            counts["lone pair, L weight not 0 or 1"] += bool(weights - {0, 1})
         for u, weight in margins["local"].get(pair, {}).items():
             if weight and live:
                 held.setdefault((rest, u), []).append({v: weight * hv for v, hv in live.items()})
@@ -521,8 +528,10 @@ def test_type2_matches_the_definition(p, q, density_b, density_c, seed):
     assert d.upper_count == 2 * p * q
     assert 0 not in d.entries.values()
     assert quads_of(d) == brute_force_type2(b, c)
-    # Sums over the slot's (k, l) cancel to 0 before they meet L.
-    assert first_slot_rows(b, c)["cancelled h"] > 0
+    # Sums over the slot's (k, l) cancel to 0 before they meet L, and some
+    # group holds a lone pair whose L weighs a U by neither 0 nor 1.
+    rows = first_slot_rows(b, c)
+    assert rows["cancelled h"] and rows["lone pair, L weight not 0 or 1"], rows
 
 
 # Signed b; the seeds were picked so that some of b's marginals cancel to 0.
