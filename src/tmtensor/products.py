@@ -135,13 +135,16 @@ def type2(b: SparseTensor, c: SparseTensor, cap: int = DEFAULT_CAP) -> SparseTen
     pass over the stage files each entry under its group and its (i, j)
     pair and adds its G terms into that pair's row h as it goes; then, for
     each U_s, the h rows of the group's pairs whose L holds U_s are summed
-    under V_s's number.  A group of one pair, as most groups of a machine
-    composite are, has nothing to merge: each U_s of its L writes
-    L(U_s) h(V_s) straight into the result.  A row may hold sums that came
-    to 0: they are skipped where the row is spelled out and add 0 where rows
-    merge.  Keys of different groups or of different (U_s, V_s) differ, so
-    each key is built once, when its nonzero sum is stored; a zero sum is
-    never stored.
+    into a list indexed by V_s's number and read out in block order.  Which
+    pairs hold which U_s depends only on the set of pairs, so it is planned
+    once per set in a call.  A group of one pair, as most groups of a
+    machine composite are, has nothing to merge: each U_s of its L writes
+    L(U_s) h(V_s) straight into the result.  In the measured powers of the
+    corpus machines no U_s is held by two pairs, so none reaches the list.
+    A row may hold sums that came to 0: they are skipped where the row is
+    spelled out and add 0 where rows merge.  Keys of different groups or of
+    different (U_s, V_s) differ, so each key is built once, when its nonzero
+    sum is stored; a zero sum is never stored.
 
     Raises ResourceLimit, before building anything, when the result would
     have more than ``DEFAULT_CAP`` upper groups, and, before accumulating
@@ -220,13 +223,16 @@ def type2(b: SparseTensor, c: SparseTensor, cap: int = DEFAULT_CAP) -> SparseTen
     # Slot by slot, the quad ``shift`` bits up becomes the blocks U V.
     # Entries whose keys agree once the slot's bits are cleared form a group.
     # One pass files each entry under its group and (i, j) pair and adds its
-    # G terms into that pair's row h[V]; then each U sums the h rows of the
-    # pairs whose L holds it, or, in a group of one pair, that pair's row is
-    # spelled straight into the result.  A key is its group's bits above the
-    # slot, then U, as its head, and V, then the group's bits below the slot,
-    # as its tail.  Keys from different groups or different (U, V) differ, so
-    # each key is built once and stored once, nonzero.
+    # G terms into that pair's row h[V]; then each U sums the rows of the
+    # pairs whose L holds it into a list by V's number, or one pair's row is
+    # spelled straight into the result.  The U -> [(weight, pair)] plan is
+    # kept per set of pairs for the whole call (encoded machines, in every
+    # measured power, hold no U at two pairs).  A key is its group's bits
+    # above the slot, then U, as its head, and V, then the group's bits below
+    # the slot, as its tail.  Keys from different groups or different (U, V)
+    # differ, so each key is built once and stored once, nonzero.
     block = b.upper_count * width
+    plans: dict[frozenset[int], dict[int, list[tuple[int, int]]]] = {}
     for shift in slot_shifts:
         keep = ~(quad_mask << shift)
         groups: dict[int, dict[int, dict[int, int]]] = {}
@@ -253,28 +259,30 @@ def type2(b: SparseTensor, c: SparseTensor, cap: int = DEFAULT_CAP) -> SparseTen
                     for tail, hv in spelled:
                         entries[head | tail] = weight * hv
                 continue
-            # Each row keeps h by V's number, for merging, where a zero h[V]
+            # Each pair keeps h by V's number, for merging, where a zero h[V]
             # adds 0, and its nonzero h spelled out as (tail, h[V]), for a U
             # that only it holds.  A row whose sums all came to 0 spells
             # nothing.
-            rows: dict[int, list[tuple[int, dict[int, int], list[tuple[int, int]]]]] = {}
-            for pair, h in pairs.items():
-                spelled = [(tails[n] | rest, hv) for n, hv in h.items() if hv]
-                for u, weight in local_index[pair]:
-                    rows.setdefault(u, []).append((weight, h, spelled))
-            for u, row in rows.items():
+            spelled = {pair: [(tails[n] | rest, hv) for n, hv in h.items() if hv] for pair, h in pairs.items()}
+            plan = plans.get(frozenset(pairs))
+            if plan is None:
+                plan = plans[frozenset(pairs)] = {}
+                for pair in pairs:
+                    for u, weight in local_index[pair]:
+                        plan.setdefault(u, []).append((weight, pair))
+            for u, row in plan.items():
                 head = above | heads[u]
                 if len(row) == 1:
-                    [(weight, _, spelled)] = row
-                    for tail, hv in spelled:
+                    [(weight, pair)] = row
+                    for tail, hv in spelled[pair]:
                         entries[head | tail] = weight * hv
                     continue
-                merged: dict[int, int] = {}
-                for weight, h, _ in row:
-                    for n, hv in h.items():
-                        merged[n] = merged.get(n, 0) + weight * hv
+                merged = [0] * len(uppers)
+                for weight, pair in row:
+                    for n, hv in pairs[pair].items():
+                        merged[n] += weight * hv
                 head |= rest
-                for n, value in merged.items():
+                for n, value in enumerate(merged):
                     if value:
                         entries[head | tails[n]] = value
     return SparseTensor(b.dims, upper_count, entries)

@@ -125,7 +125,11 @@ def first_slot_rows(b, c):
     sum_ij L(U; ij) h_ij(V) that have a nonzero term and still come to 0
     ("cancelled merged").  Also counts the groups that hold exactly one pair,
     whose row is nonzero ("lone pair"), and those of them whose L holds a
-    weight other than 0 and 1 ("lone pair, L weight not 0 or 1")."""
+    weight other than 0 and 1 ("lone pair, L weight not 0 or 1").  Of the
+    groups that hold two or more pairs, counts those whose set of pairs an
+    earlier group already had ("repeated pair set") and those whose set is
+    new although an earlier group had as many pairs ("new pair set, seen
+    size"); neither depends on the order of the groups."""
     margins = {"local": {}, "global": {}}
     for coord, value in quads_of(b).items():
         i, j, k, l = coord[-1]
@@ -144,14 +148,19 @@ def first_slot_rows(b, c):
          "single", "merged", "cancelled merged", "lone pair", "lone pair, L weight not 0 or 1"),
         0,
     )
-    pair_counts = collections.Counter(rest for rest, _ in rows)
+    pair_sets = collections.defaultdict(set)
+    for rest, pair in rows:
+        pair_sets[rest].add(pair)
+    shared = [frozenset(pairs) for pairs in pair_sets.values() if len(pairs) > 1]
+    counts["repeated pair set"] = len(shared) - len(set(shared))
+    counts["new pair set, seen size"] = len(set(shared)) - len({len(pairs) for pairs in shared})
     held = {}
     cancelled = set()
     for (rest, pair), row in rows.items():
         counts["cancelled h"] += sum(1 for hv in row.values() if not hv)
         counts["cancelled row"] += bool(row) and not any(row.values())
         live = {v: hv for v, hv in row.items() if hv}
-        if pair_counts[rest] == 1 and live:
+        if len(pair_sets[rest]) == 1 and live:
             counts["lone pair"] += 1
             weights = set(margins["local"].get(pair, {}).values())
             counts["lone pair, L weight not 0 or 1"] += bool(weights - {0, 1})
@@ -577,8 +586,11 @@ def test_type2_merges_the_rows_of_an_upper_held_by_several_pairs(p, q, density_b
     c = random_operand(q, density_c, seed + 10, signed=True)
     rows = first_slot_rows(b, c)
     # Some U of b is held by one pair of a group, some by several, and some
-    # merged sum cancels to 0 although its terms do not.
+    # merged sum cancels to 0 although its terms do not.  Some group of
+    # several pairs has the pair set of an earlier one, and some has a new set
+    # of a size already seen, so a merge plan must be keyed by the set itself.
     assert rows["single"] and rows["merged"] and rows["cancelled merged"], rows
+    assert rows["repeated pair set"] and rows["new pair set, seen size"], rows
     d = type2(b, c)
     assert 0 not in d.entries.values()
     assert quads_of(d) == brute_force_type2(b, c)
